@@ -23,6 +23,9 @@ struct SbeEvent {
   Minute start = 0;      ///< aprun start
   Minute end = 0;        ///< aprun end == observation time
   std::uint32_t count = 0;
+  /// Names the tail padding so every byte is initialized: the trace cache
+  /// writes events raw, and a file must not depend on stack garbage.
+  std::uint32_t reserved = 0;
 };
 
 /// Indexed SBE history with O(log n) windowed count queries.

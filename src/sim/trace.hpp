@@ -35,6 +35,10 @@ struct RunNodeSample {
   workload::AppId app = -1;
   workload::AppId prev_app = -1;   ///< app that ran before on this node (-1 none)
   topo::NodeId node = -1;
+  /// Explicit padding (here and after recent_len): the trace cache writes
+  /// samples raw, so every byte must be initialized for the file to be a
+  /// pure function of the simulation.
+  std::uint32_t reserved0 = 0;
   Minute start = 0;
   Minute end = 0;
 
@@ -59,6 +63,7 @@ struct RunNodeSample {
   std::array<float, kRecentMinutes> recent_gpu_temp{};
   std::array<float, kRecentMinutes> recent_gpu_power{};
   std::uint8_t recent_len = 0;
+  std::array<std::uint8_t, 3> reserved1{};
 
   // Spatial T/P features: same-node CPU and slot-neighbor means during the run.
   telemetry::FourStats run_cpu_temp;
