@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -25,6 +30,53 @@ TEST(Histogram, ClampsOutOfRange) {
   h.add(100.0);
   EXPECT_EQ(h.count(0), 1u);
   EXPECT_EQ(h.count(9), 1u);
+}
+
+// Pins the binning expression of Histogram::add for the simulator's two
+// shapes (Figs 6-7): bin = clamp(int((x - lo) / (hi - lo) * bins)). The
+// simulator bins float readings, and its trace hash depends on every one
+// landing exactly here; an algebraically equal rewrite such as multiplying
+// by a precomputed reciprocal bin width rounds differently near bin edges.
+// Inputs: a dense float sweep over and beyond [lo, hi], plus each bin edge
+// and its float neighbours.
+TEST(Histogram, BinningMatchesPinnedExpressionNearEveryEdge) {
+  struct Shape {
+    double lo, hi;
+    std::size_t bins;
+  };
+  for (const Shape& shape : {Shape{10.0, 70.0, 60}, Shape{0.0, 300.0, 75}}) {
+    const double span = shape.hi - shape.lo;
+    std::vector<float> xs;
+    for (int i = -2000; i <= 202000; ++i) {
+      xs.push_back(static_cast<float>(shape.lo + span * i / 200000.0));
+    }
+    for (std::size_t k = 0; k <= shape.bins; ++k) {
+      float edge = static_cast<float>(
+          shape.lo + span * static_cast<double>(k) /
+                         static_cast<double>(shape.bins));
+      for (int step = 0; step < 4; ++step) edge = std::nextafter(edge, -1e9f);
+      for (int step = 0; step < 9; ++step) {
+        xs.push_back(edge);
+        edge = std::nextafter(edge, 1e9f);
+      }
+    }
+    for (const float far : {-1e6f, -40.0f, 150.0f, 2000.0f, 1e6f}) {
+      xs.push_back(far);
+    }
+
+    Histogram h(shape.lo, shape.hi, shape.bins);
+    for (const float x : xs) {
+      const auto raw = static_cast<std::int64_t>(
+          (x - shape.lo) / span * static_cast<double>(shape.bins));
+      const auto expected = static_cast<std::size_t>(std::clamp<std::int64_t>(
+          raw, 0, static_cast<std::int64_t>(shape.bins) - 1));
+      h.clear();
+      h.add(x);
+      ASSERT_EQ(h.count(expected), 1u)
+          << "x=" << x << " shape [" << shape.lo << ", " << shape.hi << ") x "
+          << shape.bins;
+    }
+  }
 }
 
 TEST(Histogram, WeightsAccumulate) {
