@@ -13,15 +13,6 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   REPRO_CHECK_MSG(hi > lo && bins > 0, "invalid histogram range/bins");
 }
 
-void Histogram::add(double x, std::uint64_t weight) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::int64_t>(bin, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(bin)] += weight;
-  total_ += weight;
-}
-
 void Histogram::merge(const Histogram& other) {
   REPRO_CHECK_MSG(other.counts_.size() == counts_.size() && other.lo_ == lo_ &&
                       other.hi_ == hi_,

@@ -2,6 +2,7 @@
 // power distributions (paper Figs. 6 and 7) and other density plots.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,7 +15,18 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
   Histogram() : Histogram(0.0, 1.0, 1) {}
 
-  void add(double x, std::uint64_t weight = 1) noexcept;
+  /// Inline: the simulator bins two readings per node per minute. The
+  /// expression is pinned (tests/common/histogram_test.cpp); an equal-
+  /// looking reciprocal-width form rounds differently at bin edges.
+  void add(double x, std::uint64_t weight = 1) noexcept {
+    const double t = (x - lo_) / (hi_ - lo_);
+    auto bin =
+        static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
+    bin = std::clamp<std::int64_t>(
+        bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
+    counts_[static_cast<std::size_t>(bin)] += weight;
+    total_ += weight;
+  }
   void merge(const Histogram& other);
   void clear() noexcept;
 

@@ -23,12 +23,6 @@ std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
   return hash64(a ^ (hash64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
@@ -36,22 +30,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
 
 Rng Rng::fork(std::uint64_t stream_id) const noexcept {
   return Rng(hash_combine(s_[0] ^ s_[3], stream_id));
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -97,12 +75,6 @@ double Rng::normal() noexcept {
 
 double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
-}
-
-double Rng::fast_normal() noexcept {
-  // Sum of 4 uniforms has mean 2 and variance 4/12; rescale to N(0,1)-ish.
-  const double s = uniform() + uniform() + uniform() + uniform();
-  return (s - 2.0) * 1.7320508075688772;  // sqrt(3) = sqrt(1/(4/12))
 }
 
 double Rng::lognormal(double mu, double sigma) noexcept {

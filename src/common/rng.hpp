@@ -25,7 +25,9 @@ std::uint64_t hash64(std::uint64_t v) noexcept;
 /// Combine two 64-bit values into one hash (order-sensitive).
 std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept;
 
-/// xoshiro256** PRNG with convenience distributions.
+/// xoshiro256** PRNG with convenience distributions. The generator and
+/// the uniform/fast_normal draws are defined inline: the simulator calls
+/// them several times per node per simulated minute.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
@@ -34,10 +36,22 @@ class Rng {
   [[nodiscard]] Rng fork(std::uint64_t stream_id) const noexcept;
 
   /// Raw 64 uniform bits.
-  std::uint64_t next_u64() noexcept;
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi) noexcept;
@@ -60,7 +74,11 @@ class Rng {
   /// Cheap approximately-normal deviate (Irwin–Hall with 4 uniforms,
   /// rescaled to unit variance). ~3x faster than normal(); used in the
   /// per-node-minute telemetry inner loop where exact tails don't matter.
-  double fast_normal() noexcept;
+  double fast_normal() noexcept {
+    // Sum of 4 uniforms has mean 2 and variance 4/12; rescale to N(0,1)-ish.
+    const double s = uniform() + uniform() + uniform() + uniform();
+    return (s - 2.0) * 1.7320508075688772;  // sqrt(3) = sqrt(1/(4/12))
+  }
 
   /// Log-normal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
@@ -92,6 +110,10 @@ class Rng {
                                                       std::size_t k);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

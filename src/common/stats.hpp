@@ -2,6 +2,7 @@
 // engineering and the characterization analyses.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -33,7 +34,18 @@ class RunningStats {
     return r;
   }
 
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    if (n_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
   void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats{}; }
 

@@ -8,16 +8,6 @@ RingSeries::RingSeries(std::size_t capacity) : buf_(capacity, 0.0f) {
   REPRO_CHECK(capacity > 0);
 }
 
-// The ring indices use conditional wrap instead of `%`: push/at_age run
-// once per telemetry sample in the per-minute simulator loop, and an
-// integer divide per sample is measurable there. Both forms are exact —
-// the operands are already within one capacity of the valid range.
-void RingSeries::push(float v) noexcept {
-  buf_[head_] = v;
-  if (++head_ == buf_.size()) head_ = 0;
-  if (size_ < buf_.size()) ++size_;
-}
-
 void RingSeries::clear() noexcept {
   head_ = 0;
   size_ = 0;
@@ -70,19 +60,6 @@ FourStats RingSeries::stats_last(std::size_t window) const noexcept {
     s.diff_std = static_cast<float>(dvar > 0.0 ? std::sqrt(dvar) : 0.0);
   }
   return s;
-}
-
-void WindowAccumulator::add(float v) noexcept {
-  ++n_;
-  sum_ += v;
-  sum2_ += static_cast<double>(v) * v;
-  if (n_ > 1) {
-    const double d = static_cast<double>(v) - last_;
-    dsum_ += d;
-    dsum2_ += d * d;
-    ++dn_;
-  }
-  last_ = v;
 }
 
 FourStats WindowAccumulator::stats() const noexcept {

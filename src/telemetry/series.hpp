@@ -29,7 +29,14 @@ class RingSeries {
  public:
   explicit RingSeries(std::size_t capacity = 64);
 
-  void push(float v) noexcept;
+  // Conditional wrap instead of `%`: push runs once per telemetry sample
+  // in the per-minute simulator loop, where an integer divide per sample
+  // is measurable. Both forms are exact.
+  void push(float v) noexcept {
+    buf_[head_] = v;
+    if (++head_ == buf_.size()) head_ = 0;
+    if (size_ < buf_.size()) ++size_;
+  }
   void clear() noexcept;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
@@ -54,7 +61,18 @@ class RingSeries {
 /// samples observed during this application run on this node").
 class WindowAccumulator {
  public:
-  void add(float v) noexcept;
+  void add(float v) noexcept {
+    ++n_;
+    sum_ += v;
+    sum2_ += static_cast<double>(v) * v;
+    if (n_ > 1) {
+      const double d = static_cast<double>(v) - last_;
+      dsum_ += d;
+      dsum2_ += d * d;
+      ++dn_;
+    }
+    last_ = v;
+  }
   void reset() noexcept { *this = WindowAccumulator{}; }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
