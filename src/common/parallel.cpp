@@ -19,14 +19,36 @@ constexpr std::size_t kMaxThreads = 256;
 std::atomic<std::size_t> g_threads{0};  // 0 = not initialized yet
 
 thread_local bool tl_in_worker = false;
+// Pool participant index: 0 on dispatching threads, k on worker k.
+thread_local std::size_t tl_participant = 0;
 
 // One dispatched parallel region. Workers hold a shared_ptr, so a worker
-// that wakes late for an already-finished job sees an exhausted chunk
-// counter and goes back to sleep without touching the next job's state.
+// that wakes late for an already-finished job sees exhausted chunk
+// counters and goes back to sleep without touching the next job's state.
+//
+// The chunk grid is cut into one contiguous block per participant, each
+// with its own claim counter. A participant drains its home block first,
+// then helps with the others. Dispatching the same grid again (the
+// simulator does once per simulated minute) therefore keeps most chunks on
+// the thread whose cache already holds their data, while a worker that
+// wakes late still has its block finished by the others. Which thread runs
+// a chunk never affects results (rules 1-2 in parallel.hpp).
 struct Job {
+  struct alignas(64) Counter {
+    std::atomic<std::size_t> claimed{0};
+  };
+
   explicit Job(std::size_t n, std::size_t max_helpers,
                const std::function<void(std::size_t)>& f)
-      : chunks(n), helpers(max_helpers), fn(f) {}
+      : chunks(n),
+        helpers(max_helpers),
+        fn(f),
+        blocks(std::make_unique<Counter[]>(max_helpers + 1)) {}
+
+  /// First chunk of block b; block b spans [block_begin(b), block_begin(b+1)).
+  [[nodiscard]] std::size_t block_begin(std::size_t b) const noexcept {
+    return chunks * b / (helpers + 1);
+  }
 
   const std::size_t chunks;
   const std::size_t helpers;        // workers allowed to join (main joins too)
@@ -36,9 +58,10 @@ struct Job {
   // that drains chunks opens a span with this name on its own track, so
   // fanned-out work nests under the region that spawned it.
   const char* obs_region = nullptr;
-  std::atomic<std::size_t> next{0};
+  std::unique_ptr<Counter[]> blocks;  // one claim counter per participant
   std::atomic<std::size_t> done{0};
   std::size_t joined = 0;           // guarded by the pool mutex
+  std::size_t draining = 0;         // joined workers not yet done; ditto
   std::mutex error_mutex;
   std::exception_ptr error;
 };
@@ -84,9 +107,12 @@ class Pool {
     }
     tl_in_worker = false;
     {
+      // Also wait for every worker that joined to leave the region, so its
+      // drain span is recorded before parallel_for returns.
       std::unique_lock<std::mutex> lk(mutex_);
       done_cv_.wait(lk, [&] {
-        return job->done.load(std::memory_order_acquire) == job->chunks;
+        return job->done.load(std::memory_order_acquire) == job->chunks &&
+               job->draining == 0;
       });
       job_.reset();
     }
@@ -113,6 +139,7 @@ class Pool {
       // costs nothing when tracing stays disabled.
       workers_.emplace_back([this, id = workers_.size() + 1] {
         obs::bind_worker(id);
+        tl_participant = id;
         worker_loop();
       });
     }
@@ -132,6 +159,7 @@ class Pool {
         if (stop_) return;
         job = job_;
         ++job->joined;
+        ++job->draining;
       }
       last = job;
       if (job->obs_region != nullptr) {
@@ -140,23 +168,38 @@ class Pool {
       } else {
         drain(*job);
       }
+      std::lock_guard<std::mutex> lk(mutex_);
+      if (--job->draining == 0) done_cv_.notify_all();
     }
   }
 
   void drain(Job& job) {
-    for (;;) {
-      const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= job.chunks) return;
-      try {
-        job.fn(c);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(job.error_mutex);
-        if (!job.error) job.error = std::current_exception();
+    const std::size_t participants = job.helpers + 1;
+    const std::size_t home = tl_participant % participants;
+    for (std::size_t k = 0; k < participants; ++k) {
+      const std::size_t b = (home + k) % participants;
+      const std::size_t begin = job.block_begin(b);
+      const std::size_t end = job.block_begin(b + 1);
+      for (;;) {
+        const std::size_t c =
+            begin +
+            job.blocks[b].claimed.fetch_add(1, std::memory_order_relaxed);
+        if (c >= end) break;
+        run_chunk(job, c);
       }
-      if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.chunks) {
-        std::lock_guard<std::mutex> lk(mutex_);  // pairs with done_cv_ wait
-        done_cv_.notify_all();
-      }
+    }
+  }
+
+  void run_chunk(Job& job, std::size_t c) {
+    try {
+      job.fn(c);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(job.error_mutex);
+      if (!job.error) job.error = std::current_exception();
+    }
+    if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 == job.chunks) {
+      std::lock_guard<std::mutex> lk(mutex_);  // pairs with done_cv_ wait
+      done_cv_.notify_all();
     }
   }
 
