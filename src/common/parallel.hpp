@@ -12,14 +12,20 @@
 //      chunk index order, so floating-point accumulation order is fixed.
 //   3. No shared RNG. A stochastic loop is only parallelized if every
 //      parallel unit owns a pre-split Rng stream (see ThermalModel), so the
-//      draw sequence per unit is independent of scheduling.
+//      draw sequence per unit is independent of scheduling. Draws from one
+//      shared stream are split off and stay serial: the simulator runs its
+//      RNG-free per-node work in parallel and then its fault draws in a
+//      short serial loop (see sim/simulator.hpp).
 //
 // The pool is lazily initialized on first use and sized by
 // std::thread::hardware_concurrency(), overridable with the REPRO_THREADS
 // environment variable (or set_parallel_threads() at runtime). The value 1
 // bypasses the pool entirely: chunks run inline, in order, on the calling
 // thread — and by rules 1–2 produce bit-identical results to any other
-// thread count.
+// thread count. Each participant claims chunks from its own contiguous
+// block of the grid first and then helps with the others, so a region
+// repeated over the same grid keeps most chunks on the same thread (and
+// its cache); which thread runs a chunk never affects the result.
 //
 // Nested parallel regions (a parallel_for issued from inside a pool worker,
 // e.g. a model fit inside a parallel model sweep) run inline serially;
