@@ -9,15 +9,15 @@
 #pragma once
 
 #include <chrono>
-#include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/atomic_file.hpp"
+#include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "core/evaluation.hpp"
 #include "core/sample_index.hpp"
@@ -35,31 +35,6 @@ inline constexpr std::int64_t kPaperDays = 102;
 inline bool& paper_trace_cache_hit() {
   static bool hit = false;
   return hit;
-}
-
-/// JSON string escaping for BenchJson keys and values (quotes, backslashes,
-/// and control characters — enough for the identifiers and paths we emit).
-inline std::string bench_json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Machine-readable bench artifact: accumulates key/value metrics and
@@ -83,16 +58,7 @@ class BenchJson {
   }
 
   void set(const std::string& key, double value) {
-    // JSON has no NaN/Inf literal; "%.9g" would emit "nan"/"inf" and break
-    // every consumer (tools/bench_diff included). Non-finite values encode
-    // as null, which parsers treat as "metric absent".
-    if (!std::isfinite(value)) {
-      entries_.emplace_back(key, "null");
-      return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    entries_.emplace_back(key, buf);
+    entries_.emplace_back(key, json::number(value));  // non-finite -> null
   }
   void set(const std::string& key, bool value) {
     entries_.emplace_back(key, value ? "true" : "false");
@@ -104,7 +70,7 @@ class BenchJson {
     entries_.emplace_back(key, std::to_string(value));
   }
   void set_string(const std::string& key, const std::string& value) {
-    entries_.emplace_back(key, "\"" + bench_json_escape(value) + "\"");
+    entries_.emplace_back(key, json::quoted(value));
   }
 
   [[nodiscard]] std::string path() const { return "BENCH_" + name_ + ".json"; }
@@ -125,33 +91,24 @@ class BenchJson {
         set("obs." + m.key, m.value);
       }
     }
-    // Atomic publish (tmp + rename): a bench killed mid-write must never
-    // leave a torn BENCH_*.json for bench_diff to choke on.
-    const std::string tmp = path() + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << "{\n  \"bench\": \"" << bench_json_escape(name_) << "\",\n";
-      out << "  \"threads\": " << parallel_threads() << ",\n";
-      out << "  \"trace_cache_hit\": "
-          << (paper_trace_cache_hit() ? "true" : "false") << ",\n";
-      char wall_buf[64];
-      std::snprintf(wall_buf, sizeof(wall_buf), "%.3f", wall);
-      out << "  \"wall_seconds\": " << wall_buf;
-      for (const auto& [key, value] : entries_) {
-        out << ",\n  \"" << bench_json_escape(key) << "\": " << value;
-      }
-      out << "\n}\n";
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "[bench] write to %s failed\n", tmp.c_str());
-        return path();
-      }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path(), ec);
-    if (ec) {
-      std::fprintf(stderr, "[bench] cannot publish %s: %s\n", path().c_str(),
-                   ec.message().c_str());
+    // Atomic publish: a bench killed mid-write must never leave a torn
+    // BENCH_*.json for bench_diff to choke on.
+    const std::string error =
+        write_file_atomically(path(), [&](std::ostream& out) {
+          out << "{\n  \"bench\": " << json::quoted(name_) << ",\n";
+          out << "  \"threads\": " << parallel_threads() << ",\n";
+          out << "  \"trace_cache_hit\": "
+              << (paper_trace_cache_hit() ? "true" : "false") << ",\n";
+          char wall_buf[64];
+          std::snprintf(wall_buf, sizeof(wall_buf), "%.3f", wall);
+          out << "  \"wall_seconds\": " << wall_buf;
+          for (const auto& [key, value] : entries_) {
+            out << ",\n  " << json::quoted(key) << ": " << value;
+          }
+          out << "\n}\n";
+        });
+    if (!error.empty()) {
+      std::fprintf(stderr, "[bench] %s\n", error.c_str());
       return path();
     }
     std::fprintf(stderr, "[bench] wrote %s\n", path().c_str());

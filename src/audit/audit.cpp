@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/obs.hpp"
 
 namespace repro::audit {
@@ -102,54 +103,18 @@ void set_sink_path(const std::string& path) {
   g_sink = path.empty() ? nullptr : new Sink(path);
 }
 
-// --- record serialization ---------------------------------------------------
-
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string to_json_line(const Manifest& m) {
-  std::string out = "{\"type\":\"manifest\",\"model\":\"";
-  append_escaped(out, m.model);
-  out += "\",\"seed\":" + std::to_string(m.seed);
+  std::string out = "{\"type\":\"manifest\",\"model\":";
+  json::append_quoted(out, m.model);
+  out += ",\"seed\":" + std::to_string(m.seed);
   out += ",\"threshold\":";
-  append_number(out, static_cast<double>(m.threshold));
+  json::append_number(out, static_cast<double>(m.threshold));
   out += ",\"feature_dim\":" + std::to_string(m.feature_dim);
   out += ",\"feature_mask\":" + std::to_string(m.feature_mask);
   out += ",\"forecast_current_run\":";
   out += m.forecast_current_run ? "true" : "false";
   out += ",\"undersample_ratio\":";
-  append_number(out, m.undersample_ratio);
+  json::append_number(out, m.undersample_ratio);
   out += ",\"threads\":" + std::to_string(m.threads);
   out += ",\"train_begin\":" + std::to_string(m.train_begin);
   out += ",\"train_end\":" + std::to_string(m.train_end);
@@ -165,22 +130,22 @@ std::string to_json_line(const PredictionRecord& r) {
   out += ",\"app\":" + std::to_string(r.app);
   out += ",\"node\":" + std::to_string(r.node);
   out += ",\"score\":";
-  append_number(out, static_cast<double>(r.score));
+  json::append_number(out, static_cast<double>(r.score));
   out += ",\"threshold\":";
-  append_number(out, static_cast<double>(r.threshold));
+  json::append_number(out, static_cast<double>(r.threshold));
   out += ",\"decision\":" + std::to_string(r.decision ? 1 : 0);
   out += ",\"truth\":" + std::to_string(r.truth ? 1 : 0);
   out += ",\"stage1\":" + std::to_string(r.stage1_accepted ? 1 : 0);
   if (r.has_contrib) {
     out += ",\"bias\":";
-    append_number(out, r.bias);
+    json::append_number(out, r.bias);
     out += ",\"contrib\":[";
     for (std::size_t i = 0; i < r.contrib.size(); ++i) {
       if (i > 0) out += ',';
-      out += "{\"f\":\"";
-      append_escaped(out, r.contrib[i].first);
-      out += "\",\"v\":";
-      append_number(out, r.contrib[i].second);
+      out += "{\"f\":";
+      json::append_quoted(out, r.contrib[i].first);
+      out += ",\"v\":";
+      json::append_number(out, r.contrib[i].second);
       out += '}';
     }
     out += ']';

@@ -4,12 +4,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
+
+#include "common/atomic_file.hpp"
+#include "common/json.hpp"
 
 namespace repro::obs {
 
@@ -101,33 +102,6 @@ void set_mode_bit(int bit, bool on) {
     want = on ? (cur | bit) : (cur & ~bit);
   } while (!detail::g_mode.compare_exchange_weak(cur, want,
                                                  std::memory_order_relaxed));
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  json_escape_into(out, s);
-  return out;
 }
 
 // Stable copy of every thread's buffer for export/inspection.
@@ -306,15 +280,15 @@ bool write_chrome_trace(std::ostream& out) {
   char ts_buf[64];
   for (const BufCopy& buf : bufs) {
     out << ",\n{\"ph\":\"M\",\"pid\":0,\"tid\":" << buf.tid
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-        << json_escape(buf.name) << "\"}}";
+        << ",\"name\":\"thread_name\",\"args\":{\"name\":"
+        << json::quoted(buf.name) << "}}";
     for (const Event& e : buf.events) {
       // Chrome trace timestamps are microseconds; keep ns resolution.
       std::snprintf(ts_buf, sizeof(ts_buf), "%.3f,\"dur\":%.3f",
                     static_cast<double>(e.start_ns) / 1000.0,
                     static_cast<double>(e.dur_ns) / 1000.0);
       out << ",\n{\"ph\":\"X\",\"pid\":0,\"tid\":" << buf.tid
-          << ",\"name\":\"" << json_escape(e.name) << "\",\"ts\":" << ts_buf
+          << ",\"name\":" << json::quoted(e.name) << ",\"ts\":" << ts_buf
           << "}";
     }
   }
@@ -323,32 +297,11 @@ bool write_chrome_trace(std::ostream& out) {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  // Atomic publish: a crash (or full disk) mid-write must never leave a
-  // torn half-JSON file under the requested name.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.is_open()) {
-      std::fprintf(stderr, "[obs] cannot open trace path %s\n", tmp.c_str());
-      return false;
-    }
-    if (!write_chrome_trace(static_cast<std::ostream&>(out))) {
-      std::fprintf(stderr, "[obs] write to trace path %s failed\n",
-                   tmp.c_str());
-      return false;
-    }
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "[obs] write to trace path %s failed\n",
-                   tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::fprintf(stderr, "[obs] cannot publish trace %s: %s\n", path.c_str(),
-                 ec.message().c_str());
+  const std::string error = write_file_atomically(
+      path, [](std::ostream& out) { write_chrome_trace(out); });
+  if (!error.empty()) {
+    std::fprintf(stderr, "[obs] Chrome trace not written: %s\n",
+                 error.c_str());
     return false;
   }
   std::fprintf(stderr, "[obs] wrote Chrome trace %s\n", path.c_str());

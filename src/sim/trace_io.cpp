@@ -6,6 +6,7 @@
 #include <fstream>
 #include <type_traits>
 
+#include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/obs.hpp"
@@ -255,13 +256,7 @@ std::uint64_t config_fingerprint(const SimConfig& c) {
 
 void save_trace(const Trace& trace, const SimConfig& config,
                 const std::string& path) {
-  // Atomic publish: stream everything into `<path>.tmp`, then rename. An
-  // interrupted run leaves at worst a stale tmp file, never a torn cache
-  // entry under the final name.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    REPRO_CHECK_MSG(out.good(), "cannot open " << tmp << " for writing");
+  const auto fill = [&](std::ostream& out) {
     write_raw_u64(out, kMagic);
     write_raw_u64(out, config_fingerprint(config));
     write_raw_u64(out, 0);  // payload_bytes, patched below
@@ -300,13 +295,11 @@ void save_trace(const Trace& trace, const SimConfig& config,
     out.seekp(2 * sizeof(std::uint64_t));
     write_raw_u64(out, w.bytes);
     write_raw_u64(out, w.sum.h);
-    out.flush();
-    REPRO_CHECK_MSG(out.good(), "write to " << tmp << " failed");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  REPRO_CHECK_MSG(!ec, "cannot publish " << tmp << " -> " << path << ": "
-                                         << ec.message());
+  };
+  // Atomic publish: an interrupted run leaves at worst a stale tmp file,
+  // never a torn cache entry under the final name.
+  const std::string error = write_file_atomically(path, fill);
+  REPRO_CHECK_MSG(error.empty(), error);
 }
 
 Trace read_trace(const SimConfig& config, const std::string& path) {

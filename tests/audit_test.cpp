@@ -14,6 +14,7 @@
 
 #include "audit/audit.hpp"
 #include "audit/drift.hpp"
+#include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/retraining.hpp"
@@ -21,13 +22,11 @@
 #include "ml/logistic_regression.hpp"
 #include "ml/metrics.hpp"
 #include "obs/obs.hpp"
-#include "support/json_parser.hpp"
 #include "support/test_trace.hpp"
 
 namespace repro {
 namespace {
 
-using repro::testing::JsonParser;
 using repro::testing::shared_tiny_trace;
 
 class AuditTest : public ::testing::Test {
@@ -346,8 +345,7 @@ TEST_F(AuditTest, SinkWritesParseableJsonlWithExpectedCounts) {
   std::size_t manifests = 0, predictions = 0, with_contrib = 0;
   std::size_t stage1_rejected_with_contrib = 0;
   for (const std::string& line : lines) {
-    JsonParser parser(line);
-    ASSERT_TRUE(parser.parse()) << line;
+    ASSERT_TRUE(json::parse(line)) << line;
     if (is_manifest_line(line)) {
       ++manifests;
       EXPECT_NE(line.find("\"model\":\"GBDT\""), std::string::npos);

@@ -14,17 +14,16 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "core/two_stage.hpp"
 #include "obs/obs.hpp"
 #include "support/bench_common.hpp"
-#include "support/json_parser.hpp"
 #include "support/test_trace.hpp"
 
 namespace repro {
 namespace {
 
-using repro::testing::JsonParser;
 using repro::testing::shared_tiny_trace;
 
 // --- fixture ------------------------------------------------------------------
@@ -220,9 +219,9 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson) {
   std::ostringstream out;
   ASSERT_TRUE(obs::write_chrome_trace(out));
 
-  JsonParser parser(out.str());
-  ASSERT_TRUE(parser.parse()) << out.str();
-  const auto& ss = parser.strings;
+  const auto doc = json::parse(out.str());
+  ASSERT_TRUE(doc) << out.str();
+  const auto& ss = doc->strings;
   const auto has = [&](const std::string& v) {
     return std::find(ss.begin(), ss.end(), v) != ss.end();
   };
@@ -246,32 +245,35 @@ TEST_F(ObsTest, WriteTraceIfRequestedFollowsEnv) {
 
 TEST_F(ObsTest, BenchJsonEscapesAndMergesObsSnapshot) {
   OBS_COUNT_ADD("obs_test.bench_counter", 7);  // registered before enable: 0
-  bench::BenchJson json("obs_unit");           // enables obs metrics
+  bench::BenchJson artifact("obs_unit");       // enables obs metrics
   OBS_COUNT_ADD("obs_test.bench_counter", 7);
-  json.set("pi", 3.5);
-  json.set("flag", true);
-  json.set_int("answer", 42);
-  json.set_int("big", std::size_t{1} << 40);
-  json.set_string("path", "C:\\dir\\\"quoted\"");
-  // json.set("bare", 7);  // would not compile: integral set() is deleted
-  const std::string path = json.write();
+  artifact.set("pi", 3.5);
+  artifact.set("flag", true);
+  artifact.set_int("answer", 42);
+  artifact.set_int("big", std::size_t{1} << 40);
+  artifact.set_string("path", "C:\\dir\\\"quoted\"");
+  // artifact.set("bare", 7);  // would not compile: integral set() is deleted
+  const std::string path = artifact.write();
 
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
   std::remove(path.c_str());
 
-  JsonParser parser(buf.str());
-  ASSERT_TRUE(parser.parse()) << buf.str();
-  EXPECT_EQ(parser.flat.at("bench"), "obs_unit");
-  EXPECT_EQ(parser.flat.at("pi"), "3.5");
-  EXPECT_EQ(parser.flat.at("flag"), "true");
-  EXPECT_EQ(parser.flat.at("answer"), "42");
-  EXPECT_EQ(parser.flat.at("big"), std::to_string(std::size_t{1} << 40));
-  EXPECT_EQ(parser.flat.at("path"), "C:\\dir\\\"quoted\"");
+  const auto doc = json::parse(buf.str());
+  ASSERT_TRUE(doc && doc->flat) << buf.str();
+  const auto text = [&](const std::string& key) {
+    return doc->scalars.at(key).text;
+  };
+  EXPECT_EQ(text("bench"), "obs_unit");
+  EXPECT_EQ(text("pi"), "3.5");
+  EXPECT_EQ(text("flag"), "true");
+  EXPECT_EQ(text("answer"), "42");
+  EXPECT_EQ(text("big"), std::to_string(std::size_t{1} << 40));
+  EXPECT_EQ(text("path"), "C:\\dir\\\"quoted\"");
   // The obs snapshot is merged under an "obs." prefix.
-  EXPECT_EQ(parser.flat.at("obs.obs_test.bench_counter"), "7");
-  EXPECT_TRUE(parser.flat.contains("obs.trace.events_dropped"));
+  EXPECT_EQ(text("obs.obs_test.bench_counter"), "7");
+  EXPECT_TRUE(doc->scalars.contains("obs.trace.events_dropped"));
 }
 
 }  // namespace
