@@ -74,7 +74,7 @@ TEST_P(AllModelsTest, BatchMatchesSinglePrediction) {
   const Dataset train = linear_blobs(600, 4);
   auto model = make_model(GetParam(), 77);
   model->fit(train);
-  const auto batch = model->predict_proba_batch(train.X);
+  const auto batch = model->predict_proba_many(train.X);
   for (const std::size_t i : {0UL, 10UL, 99UL}) {
     EXPECT_FLOAT_EQ(batch[i], model->predict_proba(train.X.row(i)));
   }
