@@ -10,6 +10,13 @@ namespace repro::sim {
 
 namespace {
 
+// Physical plausibility bounds for RunNodeSample statistic fields. Values
+// outside are sensor spikes: finite ones clamp, non-finite ones impute.
+constexpr float kTempLo = -40.0f, kTempHi = 150.0f;   // Celsius
+constexpr float kPowerLo = 0.0f, kPowerHi = 2000.0f;  // watts
+constexpr float kStatAbsHi = 4000.0f;  // |std / diff stats| cap, both channels
+constexpr float kUtilAbsHi = 1.0e9f;   // runtime/core-hours/memory cap
+
 /// Repairs one statistic field: non-finite imputes to the empty-window
 /// value 0 (clamped into [lo, hi]); finite values outside [lo, hi] clamp.
 /// Returns true when the field was touched.
@@ -38,10 +45,9 @@ bool fix_four(telemetry::FourStats& s, float mean_lo, float mean_hi,
   return touched;
 }
 
-}  // namespace
-
-SampleSanitizeStats sanitize_samples(Trace& trace,
-                                     const SampleBounds& b) {
+/// Validates and repairs trace.samples in place (see ingest.hpp for the
+/// policy). Quarantined samples are removed; survivor order is preserved.
+SampleSanitizeStats sanitize_samples(Trace& trace) {
   SampleSanitizeStats stats;
   stats.seen = trace.samples.size();
   const auto total_nodes = trace.total_nodes();
@@ -69,28 +75,26 @@ SampleSanitizeStats sanitize_samples(Trace& trace,
       ++stats.fields_imputed;
       repaired = true;
     }
-    repaired |= fix_field(s.runtime_min, 0.0f, b.util_abs_hi, stats);
-    repaired |= fix_field(s.num_nodes, 0.0f, b.util_abs_hi, stats);
-    repaired |= fix_field(s.gpu_core_hours, 0.0f, b.util_abs_hi, stats);
-    repaired |= fix_field(s.total_mem_gb, 0.0f, b.util_abs_hi, stats);
-    repaired |= fix_field(s.max_mem_gb, 0.0f, b.util_abs_hi, stats);
+    repaired |= fix_field(s.runtime_min, 0.0f, kUtilAbsHi, stats);
+    repaired |= fix_field(s.num_nodes, 0.0f, kUtilAbsHi, stats);
+    repaired |= fix_field(s.gpu_core_hours, 0.0f, kUtilAbsHi, stats);
+    repaired |= fix_field(s.total_mem_gb, 0.0f, kUtilAbsHi, stats);
+    repaired |= fix_field(s.max_mem_gb, 0.0f, kUtilAbsHi, stats);
 
-    repaired |= fix_four(s.run_gpu_temp, b.temp_lo, b.temp_hi, b.stat_abs_hi,
-                         stats);
-    repaired |= fix_four(s.run_gpu_power, b.power_lo, b.power_hi,
-                         b.stat_abs_hi, stats);
+    repaired |= fix_four(s.run_gpu_temp, kTempLo, kTempHi, kStatAbsHi, stats);
+    repaired |=
+        fix_four(s.run_gpu_power, kPowerLo, kPowerHi, kStatAbsHi, stats);
     for (std::size_t wdx = 0; wdx < kPreWindowsMin.size(); ++wdx) {
-      repaired |= fix_four(s.pre_gpu_temp[wdx], b.temp_lo, b.temp_hi,
-                           b.stat_abs_hi, stats);
-      repaired |= fix_four(s.pre_gpu_power[wdx], b.power_lo, b.power_hi,
-                           b.stat_abs_hi, stats);
+      repaired |= fix_four(s.pre_gpu_temp[wdx], kTempLo, kTempHi, kStatAbsHi,
+                           stats);
+      repaired |= fix_four(s.pre_gpu_power[wdx], kPowerLo, kPowerHi,
+                           kStatAbsHi, stats);
     }
-    repaired |= fix_four(s.run_cpu_temp, b.temp_lo, b.temp_hi, b.stat_abs_hi,
-                         stats);
-    repaired |= fix_four(s.slot_gpu_temp, b.temp_lo, b.temp_hi, b.stat_abs_hi,
-                         stats);
-    repaired |= fix_four(s.slot_gpu_power, b.power_lo, b.power_hi,
-                         b.stat_abs_hi, stats);
+    repaired |= fix_four(s.run_cpu_temp, kTempLo, kTempHi, kStatAbsHi, stats);
+    repaired |=
+        fix_four(s.slot_gpu_temp, kTempLo, kTempHi, kStatAbsHi, stats);
+    repaired |=
+        fix_four(s.slot_gpu_power, kPowerLo, kPowerHi, kStatAbsHi, stats);
 
     if (s.recent_len > RunNodeSample::kRecentMinutes) {
       s.recent_len = 0;  // length is untrustworthy; drop the whole tail
@@ -98,9 +102,8 @@ SampleSanitizeStats sanitize_samples(Trace& trace,
       repaired = true;
     }
     for (std::size_t i = 0; i < s.recent_len; ++i) {
-      repaired |= fix_field(s.recent_gpu_temp[i], b.temp_lo, b.temp_hi, stats);
-      repaired |=
-          fix_field(s.recent_gpu_power[i], b.power_lo, b.power_hi, stats);
+      repaired |= fix_field(s.recent_gpu_temp[i], kTempLo, kTempHi, stats);
+      repaired |= fix_field(s.recent_gpu_power[i], kPowerLo, kPowerHi, stats);
     }
     // The label: a count past the rollback threshold is a counter
     // artifact, but the sample itself is fine — cap it so "affected"
@@ -110,7 +113,7 @@ SampleSanitizeStats sanitize_samples(Trace& trace,
       ++stats.labels_clamped;
       repaired = true;
     }
-    repaired |= fix_field(s.expected_sbe, 0.0f, b.util_abs_hi, stats);
+    repaired |= fix_field(s.expected_sbe, 0.0f, kUtilAbsHi, stats);
 
     if (repaired) ++stats.samples_repaired;
     trace.samples[w++] = s;
@@ -120,10 +123,12 @@ SampleSanitizeStats sanitize_samples(Trace& trace,
   return stats;
 }
 
-IngestReport ingest_trace(Trace& trace, const SampleBounds& bounds) {
+}  // namespace
+
+IngestReport ingest_trace(Trace& trace) {
   OBS_SPAN("ingest.trace");
   IngestReport report;
-  report.samples = sanitize_samples(trace, bounds);
+  report.samples = sanitize_samples(trace);
   std::vector<faults::SbeEvent> events =
       trace.pending_sbe_events.empty()
           ? std::move(trace.sbe_log).take_events()

@@ -36,15 +36,6 @@
 
 namespace repro::sim {
 
-/// Physical plausibility bounds for RunNodeSample statistic fields.
-/// Values outside are sensor spikes: finite ones clamp, non-finite impute.
-struct SampleBounds {
-  float temp_lo = -40.0f, temp_hi = 150.0f;     ///< Celsius
-  float power_lo = 0.0f, power_hi = 2000.0f;    ///< watts
-  float stat_abs_hi = 4000.0f;   ///< |std / diff stats| cap, both channels
-  float util_abs_hi = 1.0e9f;    ///< runtime/core-hours/memory magnitude cap
-};
-
 /// Reason-coded outcome of sanitizing the sample array.
 struct SampleSanitizeStats {
   std::uint64_t seen = 0;
@@ -84,15 +75,12 @@ struct IngestReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Validates and repairs trace.samples in place (see the policy above).
-/// Quarantined samples are removed; survivor order is preserved.
-SampleSanitizeStats sanitize_samples(Trace& trace,
-                                     const SampleBounds& bounds = {});
-
-/// The hardened ingest entry: sanitizes the sample array and rebuilds the
-/// SBE log from its (possibly dirty) events via faults::rebuild_log.
+/// The hardened ingest entry: validates and repairs trace.samples in place
+/// (quarantined samples are removed, survivor order is preserved) and
+/// rebuilds the SBE log from its (possibly dirty) events via
+/// faults::rebuild_log.
 /// Publishes `ingest.*` obs counters. A clean trace passes through
 /// bit-identical — ingest of an uncorrupted trace changes nothing.
-IngestReport ingest_trace(Trace& trace, const SampleBounds& bounds = {});
+IngestReport ingest_trace(Trace& trace);
 
 }  // namespace repro::sim
