@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "core/sample_index.hpp"
+#include "features/export.hpp"
 #include "obs/obs.hpp"
-#include "sim/export.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -96,25 +96,25 @@ int run(int argc, char** argv) {
     return 0;
   }
   if (cmd == "samples") {
-    const auto rows = sim::export_samples_csv(trace, std::cout);
+    const auto rows = features::export_samples_csv(trace, std::cout);
     std::fprintf(stderr, "wrote %zu sample rows\n", rows);
     return 0;
   }
   if (cmd == "sbe-log") {
-    const auto rows = sim::export_sbe_log_csv(trace, std::cout);
+    const auto rows = features::export_sbe_log_csv(trace, std::cout);
     std::fprintf(stderr, "wrote %zu SBE events\n", rows);
     return 0;
   }
   if (cmd == "features") {
     const features::FeatureExtractor fx(trace, {});
     const auto idx = core::samples_in(trace, {0, trace.duration + 1});
-    const auto rows = sim::export_features_csv(trace, fx, idx, std::cout);
+    const auto rows = features::export_features_csv(trace, fx, idx, std::cout);
     std::fprintf(stderr, "wrote %zu feature rows x %zu columns\n", rows,
                  fx.dim() + 1);
     return 0;
   }
   if (cmd == "probe") {
-    const auto rows = sim::export_probe_csv(trace.probes.at(0), std::cout);
+    const auto rows = features::export_probe_csv(trace.probes.at(0), std::cout);
     std::fprintf(stderr, "wrote %zu probe minutes for node %d\n", rows,
                  probe_node);
     return 0;

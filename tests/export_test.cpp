@@ -1,4 +1,4 @@
-#include "sim/export.hpp"
+#include "features/export.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@ using repro::testing::shared_tiny_trace;
 TEST(Export, SamplesCsvRoundTrips) {
   const Trace& trace = shared_tiny_trace();
   std::ostringstream out;
-  const std::size_t rows = export_samples_csv(trace, out);
+  const std::size_t rows = features::export_samples_csv(trace, out);
   EXPECT_EQ(rows, trace.samples.size());
 
   std::istringstream in(out.str());
@@ -35,7 +35,7 @@ TEST(Export, SamplesCsvRoundTrips) {
 TEST(Export, SbeLogCsvMatchesEvents) {
   const Trace& trace = shared_tiny_trace();
   std::ostringstream out;
-  const std::size_t rows = export_sbe_log_csv(trace, out);
+  const std::size_t rows = features::export_sbe_log_csv(trace, out);
   EXPECT_EQ(rows, trace.sbe_log.events().size());
   std::istringstream in(out.str());
   const CsvContent csv = read_csv(in);
@@ -51,7 +51,7 @@ TEST(Export, FeaturesCsvHasLabelColumn) {
   const features::FeatureExtractor fx(trace, {});
   const std::vector<std::size_t> idx = {0, 3, 9};
   std::ostringstream out;
-  const std::size_t rows = export_features_csv(trace, fx, idx, out);
+  const std::size_t rows = features::export_features_csv(trace, fx, idx, out);
   EXPECT_EQ(rows, 3u);
   std::istringstream in(out.str());
   const CsvContent csv = read_csv(in);
@@ -68,7 +68,7 @@ TEST(Export, ProbeCsvOneRowPerMinute) {
   cfg.probe_nodes = {1};
   const Trace trace = simulate(cfg);
   std::ostringstream out;
-  const std::size_t rows = export_probe_csv(trace.probes[0], out);
+  const std::size_t rows = features::export_probe_csv(trace.probes[0], out);
   EXPECT_EQ(rows, static_cast<std::size_t>(trace.duration));
 }
 
