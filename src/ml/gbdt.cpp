@@ -573,4 +573,10 @@ std::vector<std::pair<std::int32_t, float>> GradientBoostedTrees::tree_splits(
   return out;
 }
 
+const std::vector<GradientBoostedTrees::Node>& GradientBoostedTrees::tree_nodes(
+    std::size_t t) const {
+  REPRO_CHECK(t < trees_.size());
+  return trees_[t].nodes;
+}
+
 }  // namespace repro::ml

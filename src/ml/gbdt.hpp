@@ -131,7 +131,6 @@ class GradientBoostedTrees final : public Model {
   [[nodiscard]] std::vector<std::pair<std::int32_t, float>> tree_splits(
       std::size_t t) const;
 
- private:
   struct Node {
     std::int32_t feature = -1;   ///< -1 for leaves
     float threshold = 0.0f;      ///< go left when value <= threshold
@@ -144,6 +143,12 @@ class GradientBoostedTrees final : public Model {
     std::uint8_t code = 0;       ///< split bin: go left when code <= this
     double gain = 0.0;           ///< split gain (for importance)
   };
+
+  /// Every node of tree t in node order (test introspection: pins a
+  /// fitted model bit for bit).
+  [[nodiscard]] const std::vector<Node>& tree_nodes(std::size_t t) const;
+
+ private:
   struct Tree {
     std::vector<Node> nodes;
     [[nodiscard]] float predict(std::span<const float> x) const noexcept;

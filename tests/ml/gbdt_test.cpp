@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
 #include "common/parallel.hpp"
+#include "obs/obs.hpp"
 
 namespace repro::ml {
 namespace {
@@ -409,6 +412,81 @@ TEST(Gbdt, FitIsBitwiseInvariantAcrossThreadCounts) {
       ASSERT_EQ(probs[i][r], probs[0][r]) << "row " << r;  // bitwise
     }
   }
+}
+
+// FNV-1a over the raw bytes of a trivially copyable value.
+template <typename T>
+void fnv_mix(std::uint64_t& h, const T& v) {
+  const auto bytes = std::bit_cast<std::array<unsigned char, sizeof(T)>>(v);
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+TEST(Gbdt, FitIsPinned) {
+  // Pins a fitted model bit for bit against constants recorded from the
+  // engine: every node's (feature, code, threshold, value, gain), the
+  // predict_proba_many output and the histogram work counters. The data
+  // is shaped to reach every histogram path: 12k rows so the root build
+  // spans several row chunks; 21 columns, so the 20 splittable ones form
+  // two full groups of 8 plus a remainder; a constant column (zero-width
+  // histogram slice) in the middle of a group; a 2-valued column; and a
+  // heavy-tailed count column with few distinct values.
+  constexpr std::size_t kRows = 12'000, kCols = 21, kConstant = 5;
+  Dataset d;
+  d.X = Matrix(kRows, kCols);
+  Rng rng(77);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < kCols; ++c) {
+      d.X.at(r, c) = static_cast<float>(rng.normal(0.0, 1.0 + 0.1 * c));
+    }
+    d.X.at(r, kConstant) = 3.0f;
+    d.X.at(r, 1) = rng.bernoulli(0.3) ? 1.0f : 0.0f;
+    d.X.at(r, 2) = std::floor(
+        static_cast<float>(std::pow(rng.uniform(1e-3, 1.0), -1.2)) - 1.0f);
+    const double z = 1.2 * d.X.at(r, 1) + 0.4 * std::log1p(d.X.at(r, 2)) +
+                     0.7 * d.X.at(r, 9) - 0.5 * d.X.at(r, 17) - 1.5;
+    d.y.push_back(rng.bernoulli(1.0 / (1.0 + std::exp(-z))) ? 1 : 0);
+  }
+  GradientBoostedTrees::Params params;
+  params.trees = 12;
+  params.max_depth = 6;
+  params.subsample = 0.9;
+
+  const bool obs_was_enabled = obs::enabled();
+  for (const std::size_t threads : {1, 2, 4}) {
+    set_parallel_threads(threads);
+    obs::reset();
+    obs::set_enabled(true);
+    GradientBoostedTrees gbdt(params, 5);
+    gbdt.fit(d);
+    obs::set_enabled(obs_was_enabled);
+    const std::uint64_t builds = obs::counter("gbdt.hist_builds").value();
+    const std::uint64_t subtractions =
+        obs::counter("gbdt.hist_subtractions").value();
+
+    std::uint64_t model_hash = 0xcbf29ce484222325ULL;
+    for (std::size_t t = 0; t < gbdt.tree_count(); ++t) {
+      for (const auto& n : gbdt.tree_nodes(t)) {
+        fnv_mix(model_hash, n.feature);
+        fnv_mix(model_hash, n.code);
+        fnv_mix(model_hash, std::bit_cast<std::uint32_t>(n.threshold));
+        fnv_mix(model_hash, std::bit_cast<std::uint32_t>(n.value));
+        fnv_mix(model_hash, std::bit_cast<std::uint64_t>(n.gain));
+      }
+    }
+    std::uint64_t proba_hash = 0xcbf29ce484222325ULL;
+    for (const float p : gbdt.predict_proba_many(d.X)) {
+      fnv_mix(proba_hash, std::bit_cast<std::uint32_t>(p));
+    }
+    EXPECT_EQ(model_hash, 0xc395e6477a0e161eULL) << "threads " << threads;
+    EXPECT_EQ(proba_hash, 0xe8ddfdbf1aa6b0a8ULL) << "threads " << threads;
+    EXPECT_EQ(builds, 381u) << "threads " << threads;
+    EXPECT_EQ(subtractions, 369u) << "threads " << threads;
+  }
+  set_parallel_threads(1);
+  obs::reset();
 }
 
 TEST(Gbdt, PredictProbaManyMatchesPerRow) {
