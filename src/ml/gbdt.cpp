@@ -1,8 +1,10 @@
 #include "ml/gbdt.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "obs/obs.hpp"
@@ -118,81 +120,73 @@ inline float sigmoidf(float z) noexcept {
   return 1.0f / (1.0f + std::exp(-z));
 }
 
-// Per-level histogram chunking: the chunk-count cap bounds scratch memory;
+// Per-node histogram chunking: the chunk-count cap bounds scratch memory;
 // the grain grows with the node's row count instead (both depend only on
 // the data, never on the thread count).
 constexpr std::size_t kMaxHistChunks = 16;
 constexpr std::size_t kMinHistGrain = 4096;
 
-// Accumulates the gradient/hessian histogram of rows[begin, end) into
-// `hist` (interleaved: hist[2b] = sum g, hist[2b+1] = sum h over packed bin
-// b) and their plain sums into G/H. Feature-outer: each splittable
-// feature's packed slice stays cache-resident while its code column is
-// gathered in ascending row order (partitioning is stable, so every node's
-// slice of the row-index buffer stays sorted).
-void accumulate_hist(const BinnedColumns& binned,
-                     const std::size_t* rows, std::size_t count,
-                     const float* grad, const float* hess,
-                     std::vector<double>& hist, double& G, double& H) {
-  double g_sum = 0.0, h_sum = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    g_sum += grad[rows[i]];
-    h_sum += hess[rows[i]];
+// Splittable features per level-kernel task. One pass over a node's rows
+// updates this many histogram slices, so each row carries as many
+// independent read-add-store chains instead of one.
+constexpr std::size_t kGroupWidth = 8;
+
+// Adds the ordered (g, h) pairs of `count` rows into N feature slices in
+// one pass (slice j: interleaved g/h cells of column cols[j]). Each cell
+// still receives its rows in ascending order. A cell's g and h updates are
+// adjacent, so the compiler can do both in one packed add.
+template <std::size_t N>
+void accumulate_group(const std::size_t* rows, const double* gh,
+                      std::size_t count, const std::uint8_t* const* cols,
+                      double* const* slices) {
+  const std::uint8_t* col[N];
+  double* slice[N];
+  for (std::size_t j = 0; j < N; ++j) {
+    col[j] = cols[j];
+    slice[j] = slices[j];
   }
-  G = g_sum;
-  H = h_sum;
-  for (std::size_t f = 0; f < binned.features; ++f) {
-    if (binned.offsets[f + 1] == binned.offsets[f]) continue;
-    const std::uint8_t* col = binned.column(f);
-    double* slice = hist.data() + 2 * binned.offsets[f];
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t r = rows[i];
-      double* cell = slice + 2 * col[r];
-      cell[0] += grad[r];
-      cell[1] += hess[r];
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t r = rows[i];
+    const double g = gh[2 * i];
+    const double h = gh[2 * i + 1];
+    std::size_t cell[N];
+    for (std::size_t j = 0; j < N; ++j) cell[j] = 2 * std::size_t{col[j][r]};
+    for (std::size_t j = 0; j < N; ++j) {
+      double* c = slice[j] + cell[j];
+      c[0] += g;
+      c[1] += h;
     }
   }
 }
 
-// Full histogram of rows[begin, end): chunked over rows with per-chunk
-// partials merged in ascending chunk order (fixed-order reduction), so the
-// sums are bit-identical for any thread count.
-void build_hist(const BinnedColumns& binned, const std::vector<std::size_t>& row_index,
-                std::size_t begin, std::size_t end,
-                const std::vector<float>& grad, const std::vector<float>& hess,
-                std::vector<double>& hist, double& G, double& H) {
-  const std::size_t count = end - begin;
-  const std::size_t width = 2 * binned.total_bins();
-  hist.assign(width, 0.0);
-  G = 0.0;
-  H = 0.0;
-  if (count == 0) return;
-  OBS_COUNT("gbdt.hist_builds");
-  const std::size_t grain =
-      chunk_grain_for(count, kMinHistGrain, kMaxHistChunks);
-  const std::size_t nchunks = chunk_count(count, grain);
-  if (nchunks == 1) {
-    accumulate_hist(binned, row_index.data() + begin, count, grad.data(),
-                    hess.data(), hist, G, H);
-    return;
-  }
-  std::vector<std::vector<double>> partial(nchunks);
-  std::vector<double> partial_G(nchunks, 0.0), partial_H(nchunks, 0.0);
-  parallel_for_chunks(
-      count, grain, [&](std::size_t c, std::size_t c_begin, std::size_t c_end) {
-        partial[c].assign(width, 0.0);
-        accumulate_hist(binned, row_index.data() + begin + c_begin,
-                        c_end - c_begin, grad.data(), hess.data(), partial[c],
-                        partial_G[c], partial_H[c]);
-      });
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    for (std::size_t i = 0; i < width; ++i) hist[i] += partial[c][i];
-    G += partial_G[c];
-    H += partial_H[c];
-  }
+using AccumulateFn = void (*)(const std::size_t*, const double*, std::size_t,
+                              const std::uint8_t* const*, double* const*);
+
+template <std::size_t... I>
+constexpr std::array<AccumulateFn, sizeof...(I)> accumulate_table(
+    std::index_sequence<I...>) {
+  return {&accumulate_group<I + 1>...};
 }
 
+// kAccumulate[n - 1] accumulates a group of n features.
+constexpr auto kAccumulate =
+    accumulate_table(std::make_index_sequence<kGroupWidth>{});
+
 }  // namespace
+
+/// Buffers one fit reuses across every level and tree.
+struct GradientBoostedTrees::FitScratch {
+  struct FeatureSplit {
+    double gain = 0.0;
+    std::uint8_t code = 0;
+  };
+  std::vector<std::uint32_t> split_features;  ///< splittable, ascending
+  std::vector<double> ordered;    ///< (g, h) of row_index[k] at [2k, 2k+1]
+  std::vector<std::size_t> spill; ///< partition spill, aligned with row_index
+  std::vector<std::vector<double>> hists;  ///< 2 * total_bins each
+  std::vector<std::size_t> free_hists;     ///< indices into hists
+  std::vector<FeatureSplit> best;          ///< per (level node, split feature)
+};
 
 float GradientBoostedTrees::Tree::predict(
     std::span<const float> x) const noexcept {
@@ -220,67 +214,82 @@ float GradientBoostedTrees::Tree::predict_binned(
 GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     const BinnedColumns& binned, std::vector<std::size_t>& row_index,
     const std::vector<float>& grad, const std::vector<float>& hess,
-    std::vector<LeafRange>& leaves) {
+    FitScratch& scratch, std::vector<LeafRange>& leaves) {
   Tree tree;
   tree.nodes.push_back({});
   leaves.clear();
 
   // One frontier entry per tree node still growing. Children of one split
-  // are adjacent (2p, 2p+1), and the left child carries the parent's
-  // histogram and G/H so its sibling can be derived by subtraction.
+  // are adjacent (2p, 2p+1); `parents[p]` keeps their parent's histogram
+  // and G/H so the larger sibling can be derived by subtraction.
   struct BuildNode {
     std::int32_t node = 0;
-    std::size_t begin = 0, end = 0;      // range in row_index
-    std::vector<double> hist;            // interleaved (g, h) per packed bin
+    std::size_t begin = 0, end = 0;  // range in row_index
+    std::size_t hist = 0;            // index into scratch.hists
     double G = 0.0, H = 0.0;
-    std::vector<double> parent_hist;     // left child of a pair only
-    double parent_G = 0.0, parent_H = 0.0;
     std::int32_t best_f = -1;
     std::uint8_t best_code = 0;
     double best_gain = 0.0;
+  };
+  struct Parent {
+    std::size_t hist = 0;
+    double G = 0.0, H = 0.0;
+  };
+  // One chunk of a directly built node's rows (the fixed chunk grid).
+  struct RowChunk {
+    std::size_t node = 0, begin = 0, end = 0;
+    double G = 0.0, H = 0.0;
   };
 
   const double lambda = params_.lambda;
   const auto leaf_value = [&](double G, double H) {
     return static_cast<float>(-G / (H + lambda) * params_.learning_rate);
   };
+  const auto acquire_hist = [&] {
+    if (scratch.free_hists.empty()) {
+      scratch.hists.emplace_back(2 * binned.total_bins());
+      return scratch.hists.size() - 1;
+    }
+    const std::size_t h = scratch.free_hists.back();
+    scratch.free_hists.pop_back();
+    return h;
+  };
+  const auto& split_features = scratch.split_features;
+  const std::size_t nsplit = split_features.size();
+  const std::size_t ngroups = (nsplit + kGroupWidth - 1) / kGroupWidth;
 
-  // Finds the best split of one frontier node from its packed histogram.
-  // Serial per node with fixed (feature, bin) scan order and strict
-  // improvement, so ties break identically for any thread count.
-  const auto find_best_split = [&](BuildNode& bn) {
-    const double parent_obj = bn.G * bn.G / (bn.H + lambda);
-    bn.best_gain = params_.gamma;
-    bn.best_f = -1;
-    for (std::size_t f = 0; f < binned.features; ++f) {
-      const std::size_t width = binned.offsets[f + 1] - binned.offsets[f];
-      if (width < 2) continue;
-      const double* slice = bn.hist.data() + 2 * binned.offsets[f];
-      double GL = 0.0, HL = 0.0;
-      for (std::size_t c = 0; c + 1 < width; ++c) {
-        GL += slice[2 * c];
-        HL += slice[2 * c + 1];
-        const double HR = bn.H - HL;
-        if (HL < params_.min_child_hessian ||
-            HR < params_.min_child_hessian) {
-          continue;
-        }
-        const double GR = bn.G - GL;
-        const double gain = 0.5 * (GL * GL / (HL + lambda) +
-                                   GR * GR / (HR + lambda) - parent_obj);
-        if (gain > bn.best_gain) {
-          bn.best_gain = gain;
-          bn.best_f = static_cast<std::int32_t>(f);
-          bn.best_code = static_cast<std::uint8_t>(c);
-        }
+  // Best split of one feature of one node: bins scanned in ascending order
+  // with strict improvement over gamma.
+  const auto scan_feature = [&](const double* hist, double G, double H,
+                                std::uint32_t f) {
+    FitScratch::FeatureSplit best{params_.gamma, 0};
+    const double parent_obj = G * G / (H + lambda);
+    const std::size_t width = binned.offsets[f + 1] - binned.offsets[f];
+    const double* slice = hist + 2 * binned.offsets[f];
+    double GL = 0.0, HL = 0.0;
+    for (std::size_t c = 0; c + 1 < width; ++c) {
+      GL += slice[2 * c];
+      HL += slice[2 * c + 1];
+      const double HR = H - HL;
+      if (HL < params_.min_child_hessian || HR < params_.min_child_hessian) {
+        continue;
+      }
+      const double GR = G - GL;
+      const double gain = 0.5 * (GL * GL / (HL + lambda) +
+                                 GR * GR / (HR + lambda) - parent_obj);
+      if (gain > best.gain) {
+        best.gain = gain;
+        best.code = static_cast<std::uint8_t>(c);
       }
     }
+    return best;
   };
 
   std::vector<BuildNode> level(1);
-  level[0].node = 0;
-  level[0].begin = 0;
   level[0].end = row_index.size();
+  std::vector<Parent> parents;
+  std::vector<std::size_t> direct;
+  std::vector<RowChunk> chunks;
 
   for (std::size_t depth = 0; !level.empty(); ++depth) {
     if (depth >= params_.max_depth) {
@@ -307,54 +316,165 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       break;
     }
 
-    // Phase 1 — histograms + split search. The root builds directly; every
-    // later level works per sibling pair: build the smaller child from its
-    // rows, derive the larger as parent - smaller (halving histogram work).
-    // Pairs are independent; nested chunked builds run inline with
-    // unchanged chunk grids, so results do not depend on the fan-out.
-    if (depth == 0) {
-      build_hist(binned, row_index, level[0].begin, level[0].end, grad, hess,
-                 level[0].hist, level[0].G, level[0].H);
-      find_best_split(level[0]);
-    } else {
-      parallel_for(level.size() / 2, 1, [&](std::size_t p_begin, std::size_t p_end) {
-        for (std::size_t p = p_begin; p < p_end; ++p) {
-          BuildNode& left = level[2 * p];
-          BuildNode& right = level[2 * p + 1];
-          const bool left_smaller =
-              left.end - left.begin <= right.end - right.begin;
-          BuildNode& small = left_smaller ? left : right;
-          BuildNode& large = left_smaller ? right : left;
-          build_hist(binned, row_index, small.begin, small.end, grad, hess,
-                     small.hist, small.G, small.H);
-          large.hist = std::move(left.parent_hist);
-          for (std::size_t i = 0; i < large.hist.size(); ++i) {
-            large.hist[i] -= small.hist[i];
-          }
-          OBS_COUNT("gbdt.hist_subtractions");
-          large.G = left.parent_G - small.G;
-          large.H = left.parent_H - small.H;
-          find_best_split(left);
-          find_best_split(right);
+    // Pair p is level[2p], level[2p+1] (the root alone at depth 0). Its
+    // smaller node is built from rows; the larger takes over the parent's
+    // histogram buffer and becomes parent - smaller in place.
+    const std::size_t npairs = depth == 0 ? 1 : level.size() / 2;
+    direct.clear();
+    chunks.clear();
+    std::uint64_t builds = 0;
+    for (std::size_t p = 0; p < npairs; ++p) {
+      std::size_t small = 0;
+      if (depth > 0) {
+        const BuildNode& left = level[2 * p];
+        const BuildNode& right = level[2 * p + 1];
+        const bool left_smaller =
+            left.end - left.begin <= right.end - right.begin;
+        small = left_smaller ? 2 * p : 2 * p + 1;
+        level[left_smaller ? 2 * p + 1 : 2 * p].hist = parents[p].hist;
+      }
+      direct.push_back(small);
+      BuildNode& bn = level[small];
+      bn.hist = acquire_hist();
+      const std::size_t count = bn.end - bn.begin;
+      const std::size_t grain =
+          chunk_grain_for(count, kMinHistGrain, kMaxHistChunks);
+      for (std::size_t c = bn.begin; c < bn.end; c += grain) {
+        chunks.push_back({small, c, std::min(c + grain, bn.end)});
+      }
+      builds += count > 0 ? 1 : 0;
+    }
+    OBS_COUNT_ADD("gbdt.hist_builds", builds);
+    if (depth > 0) OBS_COUNT_ADD("gbdt.hist_subtractions", npairs);
+
+    // Step 1 — gather: ordered gradients of every directly built node,
+    // aligned with row_index, plus per-chunk G/H partials summed into the
+    // node in chunk order.
+    parallel_for(chunks.size(), 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t k = b; k < e; ++k) {
+        RowChunk& ch = chunks[k];
+        double G = 0.0, H = 0.0;
+        for (std::size_t i = ch.begin; i < ch.end; ++i) {
+          const std::size_t r = row_index[i];
+          scratch.ordered[2 * i] = grad[r];
+          scratch.ordered[2 * i + 1] = hess[r];
+          G += grad[r];
+          H += hess[r];
         }
-      });
+        ch.G = G;
+        ch.H = H;
+      }
+    });
+    for (const RowChunk& ch : chunks) {
+      level[ch.node].G += ch.G;
+      level[ch.node].H += ch.H;
+    }
+    for (std::size_t p = 0; depth > 0 && p < npairs; ++p) {
+      const BuildNode& small = level[direct[p]];
+      BuildNode& large = level[direct[p] ^ 1];
+      large.G = parents[p].G - small.G;
+      large.H = parents[p].H - small.H;
     }
 
-    // Phase 2 — serial: materialize leaves and allocate children so tree
-    // node ids and frontier order are scheduling-independent.
+    // Step 2 — one region per level over (pair, feature group) tasks: the
+    // smaller node's group slices in one pass over its rows (chunk
+    // partials added into the zeroed slices in chunk order), the larger
+    // node's slices by subtraction, then each feature's best split on
+    // both nodes. Tasks write disjoint slices and `best` cells.
+    scratch.best.resize(level.size() * nsplit);
+    parallel_for(npairs * ngroups, 1, [&](std::size_t t_begin,
+                                          std::size_t t_end) {
+      std::array<double, 2 * kGroupWidth * FeatureBinner::kMaxBins> partial;
+      for (std::size_t t = t_begin; t < t_end; ++t) {
+        const std::size_t p = t / ngroups;
+        const std::size_t j_begin = (t % ngroups) * kGroupWidth;
+        const std::size_t j_end = std::min(j_begin + kGroupWidth, nsplit);
+        // The group's slices are contiguous in the packed histogram.
+        const std::size_t lo = 2 * binned.offsets[split_features[j_begin]];
+        const std::size_t hi =
+            2 * binned.offsets[split_features[j_end - 1] + 1];
+        const BuildNode& small = level[direct[p]];
+        double* small_hist = scratch.hists[small.hist].data();
+        std::fill(small_hist + lo, small_hist + hi, 0.0);
+
+        const std::size_t count = small.end - small.begin;
+        const std::size_t grain =
+            chunk_grain_for(count, kMinHistGrain, kMaxHistChunks);
+        // A single-chunk node accumulates in place; otherwise each chunk
+        // goes through `partial` so every cell sums its chunk partials.
+        const bool chunked = count > grain;
+        double* target = chunked ? partial.data() : small_hist + lo;
+        const std::uint8_t* cols[kGroupWidth];
+        double* slices[kGroupWidth];
+        for (std::size_t j = j_begin; j < j_end; ++j) {
+          const std::uint32_t f = split_features[j];
+          cols[j - j_begin] = binned.column(f);
+          slices[j - j_begin] = target + (2 * binned.offsets[f] - lo);
+        }
+        const AccumulateFn accumulate = kAccumulate[j_end - j_begin - 1];
+        for (std::size_t c = small.begin; c < small.end; c += grain) {
+          const std::size_t c_end = std::min(c + grain, small.end);
+          if (chunked) std::fill_n(partial.begin(), hi - lo, 0.0);
+          accumulate(row_index.data() + c, scratch.ordered.data() + 2 * c,
+                     c_end - c, cols, slices);
+          for (std::size_t i = lo; chunked && i < hi; ++i) {
+            small_hist[i] += partial[i - lo];
+          }
+        }
+
+        const auto scan_node = [&](std::size_t n) {
+          const BuildNode& bn = level[n];
+          const double* hist = scratch.hists[bn.hist].data();
+          for (std::size_t j = j_begin; j < j_end; ++j) {
+            scratch.best[n * nsplit + j] =
+                scan_feature(hist, bn.G, bn.H, split_features[j]);
+          }
+        };
+        scan_node(direct[p]);
+        if (depth > 0) {
+          const std::size_t large = direct[p] ^ 1;
+          double* large_hist = scratch.hists[level[large].hist].data();
+          for (std::size_t i = lo; i < hi; ++i) large_hist[i] -= small_hist[i];
+          scan_node(large);
+        }
+      }
+    });
+
+    // Step 3 — serial reduce in ascending feature order with strict
+    // improvement: the same choice as one (feature, bin) scan.
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      BuildNode& bn = level[i];
+      bn.best_gain = params_.gamma;
+      bn.best_f = -1;
+      for (std::size_t j = 0; j < nsplit; ++j) {
+        const FitScratch::FeatureSplit& fs = scratch.best[i * nsplit + j];
+        if (fs.gain > bn.best_gain) {
+          bn.best_gain = fs.gain;
+          bn.best_f = static_cast<std::int32_t>(split_features[j]);
+          bn.best_code = fs.code;
+        }
+      }
+    }
+
+    // Materialize leaves and allocate children serially so tree node ids
+    // and frontier order are scheduling-independent. A splitting node's
+    // histogram is kept as its children's parent unless they sit at the
+    // depth limit; every other histogram buffer goes back to the pool.
+    const bool children_build = depth + 1 < params_.max_depth;
     std::vector<BuildNode> next;
     std::vector<std::size_t> splitting;
+    parents.clear();
     for (std::size_t i = 0; i < level.size(); ++i) {
       BuildNode& bn = level[i];
       Node& node = tree.nodes[static_cast<std::size_t>(bn.node)];
-      if (bn.best_f < 0) {
-        node.value = leaf_value(bn.G, bn.H);
-        leaves.push_back({bn.begin, bn.end, node.value});
-        continue;
-      }
       // Split nodes keep their own Newton value too: explain()'s path
       // attribution charges value deltas along the root -> leaf walk.
       node.value = leaf_value(bn.G, bn.H);
+      if (bn.best_f < 0) {
+        leaves.push_back({bn.begin, bn.end, node.value});
+        scratch.free_hists.push_back(bn.hist);
+        continue;
+      }
       node.feature = bn.best_f;
       node.code = bn.best_code;
       node.threshold =
@@ -366,44 +486,42 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       // push_back may reallocate; `node` must not be touched after this.
       tree.nodes.push_back({});
       tree.nodes.push_back({});
-      BuildNode child_left, child_right;
-      child_left.node = left_id;
-      child_right.node = left_id + 1;
-      next.push_back(std::move(child_left));
-      next.push_back(std::move(child_right));
+      next.push_back({.node = left_id});
+      next.push_back({.node = left_id + 1});
       splitting.push_back(i);
+      if (children_build) {
+        parents.push_back({bn.hist, bn.G, bn.H});
+      } else {
+        scratch.free_hists.push_back(bn.hist);
+      }
     }
 
-    // Phase 3 — in-place stable partition of each splitting node's slice of
-    // the shared index buffer. Slices are disjoint, order within each side
-    // is preserved, and the parent histogram moves to the left child for
-    // the next level's subtraction.
+    // In-place stable partition of each splitting node's slice of the
+    // shared index buffer; right-going rows spill into the same range of
+    // the per-fit spill buffer. Ranges are disjoint and order within each
+    // side is preserved.
     parallel_for(splitting.size(), 1, [&](std::size_t b, std::size_t e) {
       for (std::size_t k = b; k < e; ++k) {
-        BuildNode& bn = level[splitting[k]];
+        const BuildNode& bn = level[splitting[k]];
         const std::uint8_t* col =
             binned.column(static_cast<std::size_t>(bn.best_f));
-        std::vector<std::size_t> spill;
-        spill.reserve((bn.end - bn.begin) / 2);
         std::size_t write = bn.begin;
+        std::size_t spilled = bn.begin;
         for (std::size_t i = bn.begin; i < bn.end; ++i) {
           const std::size_t r = row_index[i];
           if (col[r] <= bn.best_code) {
             row_index[write++] = r;
           } else {
-            spill.push_back(r);
+            scratch.spill[spilled++] = r;
           }
         }
-        std::copy(spill.begin(), spill.end(), row_index.begin() + static_cast<std::ptrdiff_t>(write));
-        BuildNode& child_left = next[2 * k];
-        BuildNode& child_right = next[2 * k + 1];
-        child_left.begin = bn.begin;
-        child_left.end = write;
-        child_right.begin = write;
-        child_right.end = bn.end;
-        child_left.parent_hist = std::move(bn.hist);
-        child_left.parent_G = bn.G;
-        child_left.parent_H = bn.H;
+        std::copy(scratch.spill.begin() + static_cast<std::ptrdiff_t>(bn.begin),
+                  scratch.spill.begin() + static_cast<std::ptrdiff_t>(spilled),
+                  row_index.begin() + static_cast<std::ptrdiff_t>(write));
+        next[2 * k].begin = bn.begin;
+        next[2 * k].end = write;
+        next[2 * k + 1].begin = write;
+        next[2 * k + 1].end = bn.end;
       }
     });
     level = std::move(next);
@@ -442,6 +560,14 @@ void GradientBoostedTrees::fit(const Dataset& train) {
   row_index.reserve(n);
   std::vector<std::uint8_t> in_sample(n, 0);
   std::vector<LeafRange> leaves;
+  FitScratch scratch;
+  for (std::size_t f = 0; f < d; ++f) {
+    if (binned.offsets[f + 1] > binned.offsets[f]) {
+      scratch.split_features.push_back(static_cast<std::uint32_t>(f));
+    }
+  }
+  scratch.ordered.resize(2 * n);
+  scratch.spill.resize(n);
 
   for (std::size_t t = 0; t < params_.trees; ++t) {
     // Per-row gradients/hessians: disjoint writes, no accumulation.
@@ -474,7 +600,7 @@ void GradientBoostedTrees::fit(const Dataset& train) {
     }
     const std::size_t sampled = row_index.size();
 
-    Tree tree = build_tree(binned, row_index, grad, hess, leaves);
+    Tree tree = build_tree(binned, row_index, grad, hess, scratch, leaves);
     OBS_COUNT("gbdt.trees_built");
 
     // In-subsample rows: their leaf is known from partitioning, so the

@@ -5,8 +5,7 @@
 // second-order (Newton) approximation of the logistic loss, in the style of
 // LightGBM/XGBoost:
 //   - features are quantile-binned once into uint8 codes (<= 255 bins),
-//     stored column-major with per-feature tight bin counts so histogram
-//     builds stream sequentially through one column at a time;
+//     stored column-major with per-feature tight bin counts;
 //   - each tree grows depth-wise over one shared row-index buffer: a node
 //     is a contiguous [begin, end) range, and splitting stably partitions
 //     the range in place (no per-node row copies);
@@ -14,17 +13,26 @@
 //     every candidate split; only the smaller child of a split builds its
 //     histogram from rows — the sibling is derived by subtracting it from
 //     the cached parent histogram, halving per-level histogram work;
+//   - one level kernel per depth: the directly built nodes' g/h are first
+//     gathered into a buffer aligned with the row index ("ordered
+//     gradients"); then one parallel region runs a task per (sibling pair,
+//     group of 8 splittable features) that accumulates the group's slices
+//     in one pass over the node's rows (8 independent bin-update chains
+//     per row), derives the sibling's slices by subtraction and finds each
+//     feature's best split on both nodes; a serial reduce in ascending
+//     feature order picks each node's split;
 //   - split gain = 1/2 [GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)] - gamma;
 //   - leaf value = -G/(H+l) (one Newton step), scaled by the learning rate;
 //   - training scores update by leaf-indexed lookup for in-subsample rows
 //     (their leaf is known from partitioning) and by uint8 binned-code
 //     traversal for rows outside the subsample.
 //
-// Determinism: all histogram merges use the fixed-order chunked reduction
-// of common/parallel.hpp, sibling derivation is a pure function of the
-// parent and the directly-built child, and every parallel phase writes
-// disjoint state — so fitted models are bit-identical for any
-// REPRO_THREADS (see DESIGN.md §6b).
+// Determinism: every histogram cell sums its rows in ascending order within
+// a fixed chunk grid and adds the chunk partials in chunk order, sibling
+// derivation is a pure function of the parent and the directly-built
+// child, the split reduce keeps the (feature, bin) scan's tie-breaking,
+// and every parallel phase writes disjoint state — so fitted models are
+// bit-identical for any REPRO_THREADS (see DESIGN.md §6b).
 #pragma once
 
 #include <cstdint>
@@ -162,10 +170,12 @@ class GradientBoostedTrees final : public Model {
     float value = 0.0f;
   };
 
+  struct FitScratch;
+
   Tree build_tree(const BinnedColumns& binned,
                   std::vector<std::size_t>& row_index,
                   const std::vector<float>& grad,
-                  const std::vector<float>& hess,
+                  const std::vector<float>& hess, FitScratch& scratch,
                   std::vector<LeafRange>& leaves);
 
   Params params_;
