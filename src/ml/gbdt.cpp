@@ -39,6 +39,9 @@ void FeatureBinner::fit(const Matrix& X, std::size_t max_bins,
     for (std::size_t f = f_begin; f < f_end; ++f) {
       for (std::size_t i = 0; i < rows.size(); ++i) {
         values[i] = X.at(rows[i], f);
+        REPRO_CHECK_MSG(std::isfinite(values[i]),
+                        "non-finite value at row " << rows[i] << ", feature "
+                                                   << f);
       }
       std::sort(values.begin(), values.end());
       auto& edges = edges_[f];
@@ -107,7 +110,10 @@ BinnedColumns FeatureBinner::transform_columns(const Matrix& X) const {
     for (std::size_t f = f_begin; f < f_end; ++f) {
       std::uint8_t* col = binned.codes.data() + f * binned.rows;
       for (std::size_t r = 0; r < binned.rows; ++r) {
-        col[r] = code(f, X.at(r, f));
+        const float v = X.at(r, f);
+        REPRO_CHECK_MSG(std::isfinite(v), "non-finite value at row "
+                                              << r << ", feature " << f);
+        col[r] = code(f, v);
       }
     }
   });

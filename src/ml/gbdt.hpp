@@ -5,7 +5,8 @@
 // second-order (Newton) approximation of the logistic loss, in the style of
 // LightGBM/XGBoost:
 //   - features are quantile-binned once into uint8 codes (<= 255 bins),
-//     stored column-major with per-feature tight bin counts;
+//     stored column-major with per-feature tight bin counts; non-finite
+//     values are rejected (CheckError naming the row and feature);
 //   - each tree grows depth-wise over one shared row-index buffer: a node
 //     is a contiguous [begin, end) range, and splitting stably partitions
 //     the range in place (no per-node row copies);
@@ -69,7 +70,8 @@ class FeatureBinner {
  public:
   static constexpr std::size_t kMaxBins = 255;
 
-  /// Learns per-feature cut points from (a subsample of) X.
+  /// Learns per-feature cut points from (a subsample of) X. Throws
+  /// CheckError on a non-finite sampled value.
   void fit(const Matrix& X, std::size_t max_bins = kMaxBins,
            std::size_t sample_rows = 20'000, std::uint64_t seed = 99);
 
@@ -87,6 +89,7 @@ class FeatureBinner {
   [[nodiscard]] std::vector<std::uint8_t> transform(const Matrix& X) const;
 
   /// Column-major binned copy with per-feature packed histogram offsets.
+  /// Throws CheckError naming the row and feature of a non-finite value.
   [[nodiscard]] BinnedColumns transform_columns(const Matrix& X) const;
 
  private:

@@ -7,7 +7,9 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -129,6 +131,38 @@ TEST(FeatureBinner, TransformMatchesPerValueCodes) {
       EXPECT_EQ(codes[r * 2 + f], binner.code(f, X.at(r, f)));
     }
   }
+}
+
+TEST(FeatureBinner, RejectsNonFiniteValues) {
+  // NaN breaks the binner's sort and would route differently through
+  // binned codes (code 0, left) than through Tree::predict (NaN <= t is
+  // false, right), so both binning passes reject it by row and feature.
+  Matrix X = random_matrix(300, 3, 29);
+  FeatureBinner binner;
+  binner.fit(X, 32);
+  X.at(250, 2) = std::numeric_limits<float>::quiet_NaN();
+  try {
+    (void)binner.transform_columns(X);
+    ADD_FAILURE() << "NaN accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("row 250, feature 2"),
+              std::string::npos)
+        << e.what();
+  }
+  X.at(250, 2) = std::numeric_limits<float>::infinity();
+  EXPECT_THROW((void)binner.transform_columns(X), CheckError);
+  EXPECT_THROW(binner.fit(X, 32), CheckError);
+}
+
+TEST(Gbdt, FitRejectsNonFiniteFeatures) {
+  Dataset d;
+  d.X = random_matrix(500, 2, 30);
+  for (std::size_t r = 0; r < d.X.rows(); ++r) d.y.push_back(r % 2 ? 1 : 0);
+  d.X.at(123, 1) = -std::numeric_limits<float>::infinity();
+  GradientBoostedTrees gbdt(GradientBoostedTrees::Params{.trees = 2}, 5);
+  EXPECT_THROW(gbdt.fit(d), CheckError);
+  d.X.at(123, 1) = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(gbdt.fit(d), CheckError);
 }
 
 TEST(FeatureBinner, ColumnMajorTransformMatchesRowMajor) {
