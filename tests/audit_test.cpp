@@ -392,5 +392,32 @@ TEST_F(AuditTest, SinkPredictionLinesAreThreadCountInvariant) {
   EXPECT_EQ(at1, at4);
 }
 
+TEST_F(AuditTest, SinkPredictionLinesArePinned) {
+  // Pins the fixture pipeline's prediction records byte for byte: FNV-1a
+  // over every prediction line (newline-terminated), at 1 and 4 threads.
+  // Manifest lines record the thread count, so they stay out of the hash.
+  const sim::Trace& trace = shared_tiny_trace();
+  for (const std::size_t threads : {1, 4}) {
+    set_parallel_threads(threads);
+    const std::string path = "audit_test_pinned.jsonl";
+    audit::set_sink_path(path);
+    (void)core::run_retraining(trace, tiny_retrain_config());
+    audit::set_sink_path("");
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::size_t predictions = 0;
+    for (const std::string& line : read_lines(path)) {
+      if (is_manifest_line(line)) continue;
+      ++predictions;
+      for (const char c : line + '\n') {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+      }
+    }
+    std::remove(path.c_str());
+    EXPECT_GT(predictions, 0u);
+    EXPECT_EQ(hash, 0x6a66ee83748d2464ULL) << "threads " << threads;
+  }
+}
+
 }  // namespace
 }  // namespace repro
