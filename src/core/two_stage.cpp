@@ -1,5 +1,6 @@
 #include "core/two_stage.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "audit/audit.hpp"
@@ -113,6 +114,13 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
 
 std::vector<float> TwoStagePredictor::predict_proba(
     const sim::Trace& trace, std::span<const std::size_t> idx) const {
+  Stage2Rows rows;
+  return score(trace, idx, rows);
+}
+
+std::vector<float> TwoStagePredictor::score(const sim::Trace& trace,
+                                            std::span<const std::size_t> idx,
+                                            Stage2Rows& rows) const {
   REPRO_CHECK_MSG(trained(), "predict before train");
   OBS_SPAN("two_stage.predict");
   std::vector<float> out(idx.size(), 0.0f);
@@ -123,7 +131,7 @@ std::vector<float> TwoStagePredictor::predict_proba(
   }
   // Stage 1 filters to offender nodes; everything else is predicted
   // SBE-free (proba 0) without touching the model.
-  std::vector<std::size_t> accepted;
+  std::vector<std::size_t>& accepted = rows.accepted;
   accepted.reserve(idx.size());
   for (std::size_t k = 0; k < idx.size(); ++k) {
     const sim::RunNodeSample& s = trace.samples[idx[k]];
@@ -142,7 +150,8 @@ std::vector<float> TwoStagePredictor::predict_proba(
   // Stage 2 is batched: extract + scale every accepted sample's feature
   // row (disjoint writes), then one predict_proba_many call so models with
   // fast batched inference get contiguous rows.
-  ml::Matrix features(accepted.size(), extractor_->dim());
+  ml::Matrix& features = rows.features;
+  features = ml::Matrix(accepted.size(), extractor_->dim());
   parallel_for(accepted.size(), 128, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const auto row = features.row(i);
@@ -181,7 +190,8 @@ std::vector<float> TwoStagePredictor::predict_proba(
 std::vector<ml::Label> TwoStagePredictor::predict(
     const sim::Trace& trace, std::span<const std::size_t> idx,
     std::vector<float>* proba_out) const {
-  std::vector<float> proba = predict_proba(trace, idx);
+  Stage2Rows scored;
+  std::vector<float> proba = score(trace, idx, scored);
   std::vector<ml::Label> out(proba.size());
   for (std::size_t i = 0; i < proba.size(); ++i) {
     out[i] = proba[i] >= config_.threshold ? 1 : 0;
@@ -195,9 +205,13 @@ std::vector<ml::Label> TwoStagePredictor::predict(
     std::vector<std::string> lines(idx.size());
     const std::size_t dim = extractor_->dim();
     const auto& names = extractor_->names();
+    const std::vector<std::size_t>& accepted = scored.accepted;
     parallel_for(idx.size(), 256, [&](std::size_t begin, std::size_t end) {
-      std::vector<float> row(dim);
       std::vector<double> contrib(dim);
+      // Position in `scored` of this chunk's first stage-2 row.
+      auto row = static_cast<std::size_t>(
+          std::lower_bound(accepted.begin(), accepted.end(), begin) -
+          accepted.begin());
       for (std::size_t k = begin; k < end; ++k) {
         const sim::RunNodeSample& smp = trace.samples[idx[k]];
         audit::PredictionRecord rec;
@@ -211,10 +225,10 @@ std::vector<ml::Label> TwoStagePredictor::predict(
         rec.truth = smp.sbe_affected();
         rec.stage1_accepted =
             offender_mask_[static_cast<std::size_t>(smp.node)] != 0;
-        if (rec.stage1_accepted && model_ != nullptr) {
-          extractor_->extract(smp, row);
-          scaler_.transform_row(row);
-          if (model_->explain(row, contrib, &rec.bias)) {
+        // Stage 2 scored exactly the stage-1 survivors, unless degraded.
+        if (row < accepted.size() && accepted[row] == k) {
+          if (model_->explain(scored.features.row(row++), contrib,
+                              &rec.bias)) {
             rec.has_contrib = true;
             for (const auto& [f, v] : audit::top_k_contributions(contrib)) {
               rec.contrib.emplace_back(names[f], v);

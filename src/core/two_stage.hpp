@@ -98,6 +98,18 @@ class TwoStagePredictor {
   }
 
  private:
+  /// The rows stage 2 scored: their positions in the scored index span
+  /// (ascending) and their scaled feature rows, one per position.
+  struct Stage2Rows {
+    std::vector<std::size_t> accepted;
+    ml::Matrix features;
+  };
+  /// predict_proba's body; also hands back the rows it scored, so the
+  /// audit log explains them without extracting them again.
+  [[nodiscard]] std::vector<float> score(const sim::Trace& trace,
+                                         std::span<const std::size_t> idx,
+                                         Stage2Rows& rows) const;
+
   TwoStageConfig config_;
   std::unique_ptr<features::FeatureExtractor> extractor_;
   std::unique_ptr<ml::Model> model_;
