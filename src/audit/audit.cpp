@@ -124,18 +124,27 @@ std::string to_json_line(const Manifest& m) {
 }
 
 std::string to_json_line(const PredictionRecord& r) {
-  std::string out = "{\"type\":\"prediction\",\"sample\":" +
-                    std::to_string(r.sample);
-  out += ",\"run\":" + std::to_string(r.run);
-  out += ",\"app\":" + std::to_string(r.app);
-  out += ",\"node\":" + std::to_string(r.node);
+  // One buffer, sized for a record with its top-k contributions.
+  std::string out;
+  out.reserve(256);
+  out += "{\"type\":\"prediction\",\"sample\":";
+  json::append_integer(out, r.sample);
+  out += ",\"run\":";
+  json::append_integer(out, r.run);
+  out += ",\"app\":";
+  json::append_integer(out, r.app);
+  out += ",\"node\":";
+  json::append_integer(out, r.node);
   out += ",\"score\":";
   json::append_number(out, static_cast<double>(r.score));
   out += ",\"threshold\":";
   json::append_number(out, static_cast<double>(r.threshold));
-  out += ",\"decision\":" + std::to_string(r.decision ? 1 : 0);
-  out += ",\"truth\":" + std::to_string(r.truth ? 1 : 0);
-  out += ",\"stage1\":" + std::to_string(r.stage1_accepted ? 1 : 0);
+  out += ",\"decision\":";
+  out += r.decision ? '1' : '0';
+  out += ",\"truth\":";
+  out += r.truth ? '1' : '0';
+  out += ",\"stage1\":";
+  out += r.stage1_accepted ? '1' : '0';
   if (r.has_contrib) {
     out += ",\"bias\":";
     json::append_number(out, r.bias);

@@ -7,7 +7,9 @@
 // without a link edge.
 #pragma once
 
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -54,17 +56,27 @@ inline std::string quoted(std::string_view s) {
   return out;
 }
 
-/// Appends `v` as "%.9g" (round-trips every float exactly). JSON has no
-/// NaN/Inf literal, so non-finite values encode as null, which consumers
-/// treat as "metric absent".
+/// Appends `v` as "%.9g" (round-trips every float exactly), formatted by
+/// std::to_chars, which gives printf's bytes without its format parsing
+/// and locale lookups. JSON has no NaN/Inf literal, so non-finite values
+/// encode as null, which consumers treat as "metric absent".
 inline void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
+  const auto end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 9)
+          .ptr;
+  out.append(buf, end);
+}
+
+/// Appends an integer in decimal.
+template <std::integral T>
+void append_integer(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 inline std::string number(double v) {
