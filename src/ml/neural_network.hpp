@@ -32,6 +32,18 @@ class NeuralNetwork final : public Model {
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
+  /// Fitted parameters (for pinning tests): layer l's weights (out x in,
+  /// row-major) and biases; the last layer is the 1-unit output.
+  [[nodiscard]] std::size_t layer_count() const noexcept {
+    return layers_.size();
+  }
+  [[nodiscard]] std::span<const float> weights(std::size_t l) const {
+    return layers_.at(l).w;
+  }
+  [[nodiscard]] std::span<const float> biases(std::size_t l) const {
+    return layers_.at(l).b;
+  }
+
  private:
   struct Layer {
     std::size_t in = 0;
