@@ -87,6 +87,8 @@ struct FeatureSpec {
   /// statistics with AR(2) forecasts computed from the telemetry observed
   /// BEFORE the run starts, so every feature is available a priori.
   bool forecast_current_run = false;
+
+  bool operator==(const FeatureSpec&) const = default;
 };
 
 /// Stateless (per trace) sample -> feature-vector mapper.
