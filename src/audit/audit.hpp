@@ -22,8 +22,8 @@
 // JSONL writer builds record lines in parallel into an index-addressed
 // buffer and flushes them in index order under one mutex, so a serial
 // driver (retraining, fleet_monitor) produces byte-identical files for
-// any REPRO_THREADS; concurrent drivers (sweep cells) interleave whole
-// batches, never partial lines.
+// any REPRO_THREADS; concurrent drivers interleave whole batches, never
+// partial lines.
 #pragma once
 
 #include <atomic>
