@@ -189,14 +189,32 @@ TEST(Simulator, ExpectedSbeTracksLabels) {
   EXPECT_GT(pos_sum / pos_n, 10.0 * (neg_sum / neg_n));
 }
 
+/// The bytes save_trace writes for `trace`.
+std::string saved_bytes(const Trace& trace, const SimConfig& cfg,
+                        const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  save_trace(trace, cfg, path);
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 TEST(Simulator, IncrementalStepMatchesBatch) {
+  // Advances in pieces that start and end inside the simulator's blocks of
+  // minutes (single steps, a short run, one longer than an hour) and must
+  // save exactly the bytes of one simulate() call.
   SimConfig cfg = SimConfig::testing(2, 9);
+  cfg.probe_nodes = {2, 40};
   Simulator inc(cfg);
-  inc.run_for(cfg.days * kMinutesPerDay);
-  const Trace batch = simulate(cfg);
+  for (int i = 0; i < 5; ++i) inc.step();
+  inc.run_for(7);
+  inc.run_for(61);
+  EXPECT_EQ(inc.now(), 73);
+  inc.run_for(cfg.days * kMinutesPerDay - inc.now());
   const Trace from_inc = std::move(inc).take_trace();
-  ASSERT_EQ(from_inc.samples.size(), batch.samples.size());
-  EXPECT_EQ(from_inc.sbe_log.events().size(), batch.sbe_log.events().size());
+  const Trace batch = simulate(cfg);
+  EXPECT_TRUE(saved_bytes(from_inc, cfg, "incremental.bin") ==
+              saved_bytes(batch, cfg, "batch.bin"));
 }
 
 TEST(TraceIo, RoundTripsThroughCache) {
@@ -329,16 +347,12 @@ TEST(Simulator, TraceIsBitwiseInvariantAcrossThreadCounts) {
 // trace must re-record the hash.
 void expect_pinned_trace(const SimConfig& cfg, std::uint64_t pinned,
                          const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
   std::string first;
   for (const std::size_t threads : {1, 2, 4}) {
     set_parallel_threads(threads);
     const Trace trace = simulate(cfg);
     set_parallel_threads(1);
-    save_trace(trace, cfg, path);
-    std::ifstream in(path, std::ios::binary);
-    const std::string bytes{std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>()};
+    const std::string bytes = saved_bytes(trace, cfg, name);
     if (threads == 1) first = bytes;
     EXPECT_TRUE(bytes == first) << "trace bytes differ at " << threads
                                 << " threads";
@@ -365,6 +379,17 @@ TEST(TraceIo, PayloadHashIsPinnedForMultiChunkConfig) {
   cfg.days = 1;
   cfg.probe_nodes = {3, 1000};
   expect_pinned_trace(cfg, 0x1ce276ef40d60258ULL, "pinned_titan.bin");
+}
+
+TEST(TraceIo, PayloadHashIsPinnedForDriftConfig) {
+  // Two days of the scaled Titan with the fault model's drift at day 1:
+  // node susceptibilities switch mid-trace, probes span several chunks,
+  // and recent-SBE boosts switch on and off between minutes of a run.
+  SimConfig cfg;
+  cfg.days = 2;
+  cfg.faults.drift_day = 1;
+  cfg.probe_nodes = {3, 1000};
+  expect_pinned_trace(cfg, 0x060239c1af614171ULL, "pinned_drift.bin");
 }
 
 }  // namespace
