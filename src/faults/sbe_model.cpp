@@ -88,9 +88,9 @@ std::uint32_t SbeModel::burst_size(workload::AppId app,
   return v < 1.0 ? 1u : static_cast<std::uint32_t>(v);
 }
 
-double SbeModel::minute_rate(topo::NodeId node, workload::AppId app,
-                             const telemetry::Reading& r, Minute now,
-                             bool recent_sbe) const noexcept {
+SbeModel::MinuteRates SbeModel::minute_rates(
+    topo::NodeId node, workload::AppId app, const telemetry::Reading& r,
+    Minute now) const noexcept {
   const auto ni = static_cast<std::size_t>(node);
   const double s_node = day_of(now) >= params_.drift_day
                             ? node_scale_post_[ni]
@@ -103,28 +103,12 @@ double SbeModel::minute_rate(topo::NodeId node, workload::AppId app,
   const double env =
       std::exp(params_.temp_coeff * hot +
                params_.power_coeff * (r.gpu_power - params_.power_ref_w));
-  const double burst = recent_sbe ? 1.0 + params_.burst_boost : 1.0;
-  const double raw = params_.base_rate_per_min * s_node * s_app * env * burst;
+  // The boost is the product's last factor; the quiet rate's factor is
+  // exactly 1, so leaving it out changes no bit.
+  const double raw = params_.base_rate_per_min * s_node * s_app * env;
+  const double boosted = raw * (1.0 + params_.burst_boost);
   const double cap = params_.rate_cap_per_min;
-  return cap * raw / (cap + raw);
-}
-
-std::uint32_t SbeModel::sample_minute(topo::NodeId node, workload::AppId app,
-                                      const telemetry::Reading& r, Minute now,
-                                      bool recent_sbe,
-                                      Rng& rng) const noexcept {
-  return draw(minute_rate(node, app, r, now, recent_sbe), rng);
-}
-
-std::uint32_t SbeModel::draw(double lambda, Rng& rng) noexcept {
-  if (lambda <= 0.0) return 0;
-  // Fast path: most minutes have rate << 1; one uniform decides "no event".
-  if (lambda < 0.05) {
-    if (rng.uniform() >= lambda) return 0;
-    // Conditioned on >= 1 event at tiny rate, 1 event dominates.
-    return 1;
-  }
-  return static_cast<std::uint32_t>(rng.poisson(lambda));
+  return {cap * raw / (cap + raw), cap * boosted / (cap + boosted)};
 }
 
 bool SbeModel::node_is_susceptible(topo::NodeId node, Minute now) const {

@@ -108,22 +108,30 @@ class SbeModel {
            const workload::AppCatalog& catalog, const FaultParams& params,
            Rng rng);
 
-  /// Per-minute Poisson rate for a busy node.
-  /// `recent_sbe` is whether the node logged an SBE in the past 24 hours.
-  [[nodiscard]] double minute_rate(topo::NodeId node, workload::AppId app,
-                                   const telemetry::Reading& r, Minute now,
-                                   bool recent_sbe) const noexcept;
-
-  /// Draws the minute's SBE count.
-  [[nodiscard]] std::uint32_t sample_minute(topo::NodeId node,
-                                            workload::AppId app,
-                                            const telemetry::Reading& r,
-                                            Minute now, bool recent_sbe,
-                                            Rng& rng) const noexcept;
+  /// Per-minute Poisson rate of a busy node, without and with the boost a
+  /// node gets when it logged an SBE in the past 24 hours.
+  struct MinuteRates {
+    double quiet = 0.0;
+    double recent = 0.0;
+  };
+  [[nodiscard]] MinuteRates minute_rates(topo::NodeId node,
+                                         workload::AppId app,
+                                         const telemetry::Reading& r,
+                                         Minute now) const noexcept;
 
   /// Draws a Poisson count for a precomputed rate (fast path for rates
-  /// well below 1, exact Poisson otherwise).
-  static std::uint32_t draw(double lambda, Rng& rng) noexcept;
+  /// well below 1, exact Poisson otherwise). Inline: the simulator draws
+  /// once per busy node per simulated minute.
+  static std::uint32_t draw(double lambda, Rng& rng) noexcept {
+    if (lambda <= 0.0) return 0;
+    // Fast path: most minutes have rate << 1; one uniform decides "no event".
+    if (lambda < 0.05) {
+      if (rng.uniform() >= lambda) return 0;
+      // Conditioned on >= 1 event at tiny rate, 1 event dominates.
+      return 1;
+    }
+    return static_cast<std::uint32_t>(rng.poisson(lambda));
+  }
 
   /// Counter increments produced by one fault event of this application.
   [[nodiscard]] std::uint32_t burst_size(workload::AppId app,

@@ -26,7 +26,6 @@ ThermalModel::ThermalModel(const topo::Topology& topology,
   ambient_.resize(n);
   efficiency_.resize(n);
   readings_.resize(n);
-  slot_load_.assign(n / static_cast<std::size_t>(nodes_per_slot_), 0.0f);
 
   // Per-node noise streams for step(): forked up front so the per-minute
   // loop never shares an Rng across threads.
@@ -68,64 +67,58 @@ ThermalModel::ThermalModel(const topo::Topology& topology,
 }
 
 void ThermalModel::step(Minute now, const std::vector<float>& utilization) {
-  begin_step(now, utilization);
-  parallel_for(readings_.size(), 256, [&](std::size_t begin, std::size_t end) {
-    advance(begin, end);
-  });
+  const auto nps = static_cast<std::size_t>(nodes_per_slot_);
+  parallel_for(readings_.size(), (256 + nps - 1) / nps * nps,
+               [&](std::size_t begin, std::size_t end) {
+                 advance(begin, end, now, utilization);
+               });
 }
 
-void ThermalModel::begin_step(Minute now,
-                              const std::vector<float>& utilization) {
-  const auto n = static_cast<std::size_t>(topology_.total_nodes());
-  REPRO_CHECK_MSG(utilization.size() == n, "utilization vector size mismatch");
-  utilization_ = &utilization;
-
-  // Slot-mean utilization from this minute (drives neighbor coupling).
+void ThermalModel::advance(std::size_t begin, std::size_t end, Minute now,
+                           const std::vector<float>& utilization) {
   const auto nps = static_cast<std::size_t>(nodes_per_slot_);
-  for (std::size_t s = 0; s < slot_load_.size(); ++s) {
-    float sum = 0.0f;
-    for (std::size_t k = 0; k < nps; ++k) sum += utilization[s * nps + k];
-    slot_load_[s] = sum / static_cast<float>(nps);
-  }
+  REPRO_CHECK_MSG(utilization.size() == readings_.size(),
+                  "utilization vector size mismatch");
+  REPRO_CHECK_MSG(begin % nps == 0 && end % nps == 0 && end <= readings_.size(),
+                  "advance needs whole slots");
+  const double diurnal = params_.diurnal_amp_c *
+                         std::sin(2.0 * std::numbers::pi *
+                                  static_cast<double>(minute_of_day(now)) /
+                                  static_cast<double>(kMinutesPerDay));
+  for (std::size_t slot = begin; slot < end; slot += nps) {
+    // Slot-mean utilization from this minute (drives neighbor coupling).
+    float load = 0.0f;
+    for (std::size_t k = 0; k < nps; ++k) load += utilization[slot + k];
+    const double slot_u = load / static_cast<float>(nps);
 
-  diurnal_ = params_.diurnal_amp_c *
-             std::sin(2.0 * std::numbers::pi *
-                      static_cast<double>(minute_of_day(now)) /
-                      static_cast<double>(kMinutesPerDay));
-}
+    for (std::size_t i = slot; i < slot + nps; ++i) {
+      Reading& r = readings_[i];
+      Rng& noise = node_noise_[i];
+      const double u = utilization[i];
 
-void ThermalModel::advance(std::size_t begin, std::size_t end) noexcept {
-  const std::vector<float>& utilization = *utilization_;
-  const auto nps = static_cast<std::size_t>(nodes_per_slot_);
-  const double diurnal = diurnal_;
-  for (std::size_t i = begin; i < end; ++i) {
-    Reading& r = readings_[i];
-    Rng& noise = node_noise_[i];
-    const double u = utilization[i];
-    const double slot_u = slot_load_[i / nps];
+      const double target = ambient_[i] + diurnal + params_.idle_offset_c +
+                            params_.load_gain_c * u +
+                            params_.neighbor_gain_c * slot_u;
+      const double gap = target - r.gpu_temp;
+      const double rate = gap > 0.0 ? params_.heat_rate : params_.cool_rate;
+      r.gpu_temp = static_cast<float>(
+          r.gpu_temp + rate * gap + params_.temp_noise_c * noise.fast_normal());
 
-    const double target = ambient_[i] + diurnal + params_.idle_offset_c +
-                          params_.load_gain_c * u +
-                          params_.neighbor_gain_c * slot_u;
-    const double gap = target - r.gpu_temp;
-    const double rate = gap > 0.0 ? params_.heat_rate : params_.cool_rate;
-    r.gpu_temp = static_cast<float>(
-        r.gpu_temp + rate * gap + params_.temp_noise_c * noise.fast_normal());
+      const double cpu_target = ambient_[i] + diurnal +
+                                params_.cpu_idle_offset_c +
+                                params_.cpu_load_gain_c * u;
+      const double cpu_gap = cpu_target - r.cpu_temp;
+      r.cpu_temp = static_cast<float>(
+          r.cpu_temp + params_.cpu_rate * cpu_gap +
+          params_.cpu_noise_c * noise.fast_normal());
 
-    const double cpu_target = ambient_[i] + diurnal +
-                              params_.cpu_idle_offset_c +
-                              params_.cpu_load_gain_c * u;
-    const double cpu_gap = cpu_target - r.cpu_temp;
-    r.cpu_temp = static_cast<float>(
-        r.cpu_temp + params_.cpu_rate * cpu_gap +
-        params_.cpu_noise_c * noise.fast_normal());
-
-    // Power responds essentially instantaneously to load.
-    const double p = params_.idle_power_w +
-                     params_.dynamic_power_w * u * efficiency_[i] +
-                     params_.leakage_w_per_c * (r.gpu_temp - 30.0) +
-                     params_.power_noise_w * noise.fast_normal();
-    r.gpu_power = static_cast<float>(p < 0.0 ? 0.0 : p);
+      // Power responds essentially instantaneously to load.
+      const double p = params_.idle_power_w +
+                       params_.dynamic_power_w * u * efficiency_[i] +
+                       params_.leakage_w_per_c * (r.gpu_temp - 30.0) +
+                       params_.power_noise_w * noise.fast_normal();
+      r.gpu_power = static_cast<float>(p < 0.0 ? 0.0 : p);
+    }
   }
 }
 

@@ -67,9 +67,9 @@ struct ThermalParams {
 /// fraction per node, 0 when idle) and call step(); then read out
 /// readings() and feed them to TelemetryStore / the fault model.
 ///
-/// step() is begin_step() plus advance() over every node. A caller that
-/// already runs its own per-node parallel region (the simulator) calls the
-/// two halves itself, so the minute costs one fork/join instead of two.
+/// step() is advance() over every node. A caller that already runs its own
+/// per-node parallel region (the simulator) calls advance() itself on whole
+/// slots, so one region covers the thermal model and the caller's work.
 class ThermalModel {
  public:
   ThermalModel(const topo::Topology& topology, const ThermalParams& params,
@@ -78,15 +78,14 @@ class ThermalModel {
   /// Advances one minute. `utilization[n]` in [0,1] is node n's GPU load.
   void step(Minute now, const std::vector<float>& utilization);
 
-  /// Serial part of a step: slot-mean loads and the diurnal term. Keeps a
-  /// reference to `utilization`, which must outlive the advance() calls.
-  void begin_step(Minute now, const std::vector<float>& utilization);
-
-  /// Advances nodes [begin, end) by the minute set up in begin_step().
-  /// Nodes are independent (each owns its reading and noise stream), so
-  /// disjoint ranges may run concurrently in any order with a result
-  /// bitwise-identical to a serial step.
-  void advance(std::size_t begin, std::size_t end) noexcept;
+  /// Advances nodes [begin, end), a whole number of slots, to minute `now`
+  /// under `utilization` (indexed by node; only [begin, end) is read).
+  /// Slots are independent (each node owns its reading and noise stream,
+  /// and neighbor coupling stays within a slot), so disjoint ranges may run
+  /// concurrently in any order with a result bitwise-identical to a serial
+  /// step.
+  void advance(std::size_t begin, std::size_t end, Minute now,
+               const std::vector<float>& utilization);
 
   /// Readings produced by the latest step() (valid after the first step).
   [[nodiscard]] const std::vector<Reading>& readings() const noexcept {
@@ -110,9 +109,6 @@ class ThermalModel {
   std::vector<float> ambient_;        // per node, includes cabinet lottery
   std::vector<float> efficiency_;     // per node power efficiency multiplier
   std::vector<Reading> readings_;     // current state (also the output)
-  std::vector<float> slot_load_;      // scratch: mean utilization per slot
-  const std::vector<float>* utilization_ = nullptr;  // set by begin_step
-  double diurnal_ = 0.0;                              // set by begin_step
   std::int32_t nodes_per_slot_;
 };
 

@@ -134,12 +134,4 @@ std::vector<ApRun> Scheduler::step(Minute now) {
   return completed;
 }
 
-void Scheduler::fill_utilization(Minute now, std::vector<float>& out) const {
-  out.assign(busy_.size(), 0.0f);
-  for (const ApRun& run : active_) {
-    const float u = run.utilization_at(now);
-    for (const auto n : run.nodes) out[static_cast<std::size_t>(n)] = u;
-  }
-}
-
 }  // namespace repro::workload

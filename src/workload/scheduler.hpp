@@ -74,10 +74,6 @@ class Scheduler {
   /// jobs. Completed runs are removed from the active set.
   std::vector<ApRun> step(Minute now);
 
-  /// Fills `out[n]` with node n's GPU utilization at minute `now`
-  /// (0 for idle nodes). `out` is resized to total_nodes().
-  void fill_utilization(Minute now, std::vector<float>& out) const;
-
   [[nodiscard]] const std::vector<ApRun>& active_runs() const noexcept {
     return active_;
   }

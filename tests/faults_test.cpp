@@ -22,10 +22,10 @@ class SbeModelTest : public ::testing::Test {
 
 TEST_F(SbeModelTest, RateIncreasesWithTemperatureAboveKnee) {
   const SbeModel model(topo_, catalog_, params_, Rng(2));
-  const double cool = model.minute_rate(0, 0, reading(35.0f, 120.0f), 0, false);
-  const double knee = model.minute_rate(0, 0, reading(40.0f, 120.0f), 0, false);
-  const double warm = model.minute_rate(0, 0, reading(48.0f, 120.0f), 0, false);
-  const double hot = model.minute_rate(0, 0, reading(56.0f, 120.0f), 0, false);
+  const double cool = model.minute_rates(0, 0, reading(35.0f, 120.0f), 0).quiet;
+  const double knee = model.minute_rates(0, 0, reading(40.0f, 120.0f), 0).quiet;
+  const double warm = model.minute_rates(0, 0, reading(48.0f, 120.0f), 0).quiet;
+  const double hot = model.minute_rates(0, 0, reading(56.0f, 120.0f), 0).quiet;
   EXPECT_DOUBLE_EQ(cool, knee);  // below the knee temperature has no effect
   EXPECT_GT(warm, knee);
   EXPECT_GT(hot, warm);
@@ -35,16 +35,16 @@ TEST_F(SbeModelTest, RateIncreasesWithTemperatureAboveKnee) {
 
 TEST_F(SbeModelTest, RateIncreasesWithPower) {
   const SbeModel model(topo_, catalog_, params_, Rng(3));
-  const double lo = model.minute_rate(0, 0, reading(35.0f, 60.0f), 0, false);
-  const double hi = model.minute_rate(0, 0, reading(35.0f, 200.0f), 0, false);
+  const double lo = model.minute_rates(0, 0, reading(35.0f, 60.0f), 0).quiet;
+  const double hi = model.minute_rates(0, 0, reading(35.0f, 200.0f), 0).quiet;
   EXPECT_GT(hi, lo);
 }
 
 TEST_F(SbeModelTest, BurstBoostMultiplies) {
   const SbeModel model(topo_, catalog_, params_, Rng(4));
   const auto r = reading(40.0f, 120.0f);
-  const double base = model.minute_rate(0, 0, r, 0, false);
-  const double burst = model.minute_rate(0, 0, r, 0, true);
+  const double base = model.minute_rates(0, 0, r, 0).quiet;
+  const double burst = model.minute_rates(0, 0, r, 0).recent;
   // The saturation cap compresses the boost, so the ratio is bounded by
   // (1 + burst_boost) and approaches it for small raw rates.
   EXPECT_GT(burst, base);
@@ -57,7 +57,7 @@ TEST_F(SbeModelTest, RateSaturatesAtCap) {
   FaultParams p = params_;
   p.base_rate_per_min = 1e3;  // absurdly hot: rate must still respect cap
   const SbeModel model(topo_, catalog_, p, Rng(12));
-  const double r = model.minute_rate(0, 0, reading(60.0f, 250.0f), 0, true);
+  const double r = model.minute_rates(0, 0, reading(60.0f, 250.0f), 0).recent;
   EXPECT_LE(r, p.rate_cap_per_min);
   EXPECT_GT(r, 0.5 * p.rate_cap_per_min);
 }
@@ -91,8 +91,8 @@ TEST_F(SbeModelTest, DriftChangesSomeNodes) {
   const auto r = reading(40.0f, 120.0f);
   bool rate_changed = false;
   for (topo::NodeId n = 0; n < topo_.total_nodes(); ++n) {
-    if (model.minute_rate(n, 0, r, before, false) !=
-        model.minute_rate(n, 0, r, after, false)) {
+    if (model.minute_rates(n, 0, r, before).quiet !=
+        model.minute_rates(n, 0, r, after).quiet) {
       rate_changed = true;
       break;
     }

@@ -231,16 +231,5 @@ TEST(FeatureExtractor, ForecastedRunStatsDifferButStayPlausible) {
   EXPECT_GT(abs_err / 50.0, 0.01);  // and they are not just copies
 }
 
-TEST(DescribeMask, NamedSets) {
-  EXPECT_EQ(describe_mask(kAllFeatures), "All");
-  EXPECT_EQ(describe_mask(kSetCur), "Cur");
-  EXPECT_EQ(describe_mask(kSetCurPrev), "CurPrev");
-  EXPECT_EQ(describe_mask(kSetCurNei), "CurNei");
-  EXPECT_EQ(describe_mask(kGroupHist), "Hist");
-  EXPECT_EQ(describe_mask(kGroupTp), "TP");
-  EXPECT_EQ(describe_mask(kGroupApp), "App");
-  EXPECT_NE(describe_mask(kFeatTpCur).find("mask("), std::string::npos);
-}
-
 }  // namespace
 }  // namespace repro::features
