@@ -18,6 +18,7 @@
 #include "common/parallel.hpp"
 #include "core/two_stage.hpp"
 #include "obs/obs.hpp"
+#include "sim/simulator.hpp"
 #include "support/bench_common.hpp"
 #include "support/test_trace.hpp"
 
@@ -177,6 +178,24 @@ TEST_F(ObsTest, SnapshotCountersAreThreadCountInvariant) {
   EXPECT_GT(metric_value(obs::snapshot(), "two_stage.train_samples_seen"), 0.0);
   EXPECT_GT(metric_value(obs::snapshot(), "gbdt.hist_builds"), 0.0);
   EXPECT_GT(metric_value(obs::snapshot(), "gbdt.hist_subtractions"), 0.0);
+}
+
+TEST_F(ObsTest, SimulatorRunsOnePassPerBlockOfMinutes) {
+  // 150 minutes are blocks of 60, 60 and 30: each block is one pre-pass,
+  // one node region and one replay span, whatever the thread count.
+  for (const std::size_t threads : {1, 4}) {
+    obs::reset();
+    obs::set_enabled(true);
+    set_parallel_threads(threads);
+    sim::Simulator simulator(sim::SimConfig::testing(1, 3));
+    simulator.run_for(150);
+    obs::set_enabled(false);
+    const auto snap = obs::snapshot();
+    EXPECT_EQ(metric_value(snap, "sim.blocks"), 3.0);
+    EXPECT_EQ(metric_value(snap, "sim.prepass_calls"), 3.0);
+    EXPECT_EQ(metric_value(snap, "sim.nodes_calls"), 3.0);
+    EXPECT_EQ(metric_value(snap, "sim.replay_calls"), 3.0);
+  }
 }
 
 TEST_F(ObsTest, TracingLeavesTwoStageResultsBitIdentical) {
