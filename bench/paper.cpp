@@ -351,12 +351,6 @@ int table2(const sim::Trace& trace, FitMemo& fits) {
   return 0;
 }
 
-// The first, frontier-copying GBDT engine took this long to fit the DS1
-// stage-2 set at REPRO_THREADS=1 on the CI container. Kept in the JSON
-// artifact (the *_pr1 keys) so the speedup of the histogram-subtraction
-// engine stays visible without digging through git history.
-constexpr double kGbdtFitSecondsFirstEngine = 10.73;
-
 // Table III: training time of the four stage-2 models on the DS1 training
 // set, one timed fit each (train_seconds). The paper's ordering is
 // LR << GBDT < NN << SVM (4.8 s / 40.5 s / 20 min / 1.04 h on their Xeon);
@@ -394,10 +388,7 @@ int table3(const sim::Trace& trace, FitMemo& fits) {
                std::to_string(parallel_threads())});
   }
   std::printf("%s\n", t.render().c_str());
-  json.set("GBDT.fit_seconds_pr1_baseline", kGbdtFitSecondsFirstEngine);
   for (const auto& [key, value] : recorded) json.set(key, value);
-  json.set("GBDT.speedup_vs_pr1",
-           kGbdtFitSecondsFirstEngine / recorded["GBDT.fit_seconds"]);
   json.write();
   obs::set_enabled(obs_was_enabled);
   return 0;

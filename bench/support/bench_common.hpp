@@ -11,7 +11,6 @@
 #include <chrono>
 #include <concepts>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -134,9 +133,8 @@ inline const sim::Trace& paper_trace() {
     std::fprintf(stderr,
                  "[bench] loading/simulating the 102-day scaled-Titan trace "
                  "(cache: bench_cache/)...\n");
-    paper_trace_cache_hit() =
-        std::filesystem::exists(sim::cache_path(paper_config(), "bench_cache"));
-    return sim::cached_simulate(paper_config(), "bench_cache");
+    return sim::cached_simulate(paper_config(), "bench_cache",
+                                &paper_trace_cache_hit());
   }();
   return trace;
 }

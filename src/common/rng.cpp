@@ -47,11 +47,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -81,12 +76,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::exponential(double rate) noexcept {
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
-}
-
 std::uint64_t Rng::poisson(double mean) noexcept {
   if (mean <= 0.0) return 0;
   if (mean < 32.0) {
@@ -101,21 +90,6 @@ std::uint64_t Rng::poisson(double mean) noexcept {
   }
   const double v = std::round(normal(mean, std::sqrt(mean)));
   return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
-}
-
-std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
-  // Rejection sampling (Devroye); adequate for cold paths.
-  const double b = std::pow(2.0, s - 1.0);
-  for (;;) {
-    const double u = uniform();
-    const double v = uniform();
-    const double x = std::floor(std::pow(u, -1.0 / (s - 1.0 + 1e-12)));
-    if (x < 1.0 || x > static_cast<double>(n)) continue;
-    const double t = std::pow(1.0 + 1.0 / x, s - 1.0);
-    if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
-      return static_cast<std::uint64_t>(x) - 1;
-    }
-  }
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,

@@ -59,9 +59,6 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n) noexcept;
 
-  /// Uniform integer in [lo, hi]. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
@@ -83,17 +80,9 @@ class Rng {
   /// Log-normal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
 
-  /// Exponential with the given rate (> 0).
-  double exponential(double rate) noexcept;
-
   /// Poisson-distributed count with the given mean (>= 0).
   /// Uses Knuth's method for small means and normal approximation above 32.
   std::uint64_t poisson(double mean) noexcept;
-
-  /// Zipf-distributed rank in [0, n) with exponent s (> 0): P(k) ∝ 1/(k+1)^s.
-  /// O(log n) via binary search on a caller-provided cumulative table is
-  /// preferred for hot paths; this method is O(n) setup-free rejection.
-  std::uint64_t zipf(std::uint64_t n, double s) noexcept;
 
   /// Fisher–Yates shuffle.
   template <typename T>

@@ -36,13 +36,6 @@ double RunningStats::min() const noexcept { return n_ == 0 ? 0.0 : min_; }
 
 double RunningStats::max() const noexcept { return n_ == 0 ? 0.0 : max_; }
 
-void SeriesStats::add(double x) noexcept {
-  value_.add(x);
-  if (has_last_) diff_.add(x - last_);
-  last_ = x;
-  has_last_ = true;
-}
-
 double quantile(std::span<const double> xs, double p) {
   if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());

@@ -68,25 +68,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Tracks the series AND its first difference (consecutive-sample deltas),
-/// matching the paper's four-stat temperature/power representation:
-/// {mean, std, mean-of-diff, std-of-diff}.
-class SeriesStats {
- public:
-  void add(double x) noexcept;
-  void reset() noexcept { *this = SeriesStats{}; }
-
-  [[nodiscard]] const RunningStats& value() const noexcept { return value_; }
-  [[nodiscard]] const RunningStats& diff() const noexcept { return diff_; }
-  [[nodiscard]] std::size_t count() const noexcept { return value_.count(); }
-
- private:
-  RunningStats value_;
-  RunningStats diff_;
-  double last_ = 0.0;
-  bool has_last_ = false;
-};
-
 /// p-th quantile (p in [0,1]) with linear interpolation; input need not be
 /// sorted (a sorted copy is made). Returns 0 for empty input.
 double quantile(std::span<const double> xs, double p);

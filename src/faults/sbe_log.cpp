@@ -80,11 +80,6 @@ std::uint64_t SbeLog::app_node_count_between(workload::AppId app,
   return total;
 }
 
-bool SbeLog::node_has_sbe_between(topo::NodeId node, Minute lo,
-                                  Minute hi) const {
-  return node_count_between(node, lo, hi) > 0;
-}
-
 std::vector<char> SbeLog::offender_mask(Minute lo, Minute hi) const {
   std::vector<char> mask(by_node_.size(), 0);
   for (std::size_t n = 0; n < by_node_.size(); ++n) {

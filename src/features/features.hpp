@@ -81,8 +81,6 @@ inline constexpr FeatureMask kSetCurPrevNei = kAllFeatures;
 
 struct FeatureSpec {
   FeatureMask mask = kAllFeatures;
-  std::size_t app_hash_buckets = 16;      ///< one-hot width for app name
-  std::size_t prev_app_hash_buckets = 8;  ///< one-hot width for prev app
   /// Approach 2 (Sec. VI-A / VIII): replace the measured current-run T/P
   /// statistics with AR(2) forecasts computed from the telemetry observed
   /// BEFORE the run starts, so every feature is available a priori.

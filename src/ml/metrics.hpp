@@ -42,15 +42,6 @@ PrMetrics pr_metrics(std::uint64_t tp, std::uint64_t fp, std::uint64_t fn);
 ClassMetrics evaluate(std::span<const std::uint8_t> truth,
                       std::span<const std::uint8_t> predicted);
 
-/// Evaluation from probabilities with a decision threshold.
-ClassMetrics evaluate_proba(std::span<const std::uint8_t> truth,
-                            std::span<const float> proba,
-                            float threshold = 0.5f);
-
-/// Threshold in (0,1) maximizing positive-class F1 on the given data.
-float best_f1_threshold(std::span<const std::uint8_t> truth,
-                        std::span<const float> proba);
-
 // --- score-quality statistics (src/audit model observability) -------------
 //
 // Pure, deterministic functions over (truth, score) or distribution pairs;
@@ -98,8 +89,5 @@ double population_stability_index(std::span<const double> expected,
 /// samples: max |F_a(x) - F_b(x)|. Either side empty returns 0.
 double ks_statistic_sorted(std::span<const float> a_sorted,
                            std::span<const float> b_sorted);
-
-/// Convenience over unsorted samples (copies and sorts both sides).
-double ks_statistic(std::span<const float> a, std::span<const float> b);
 
 }  // namespace repro::ml

@@ -318,8 +318,6 @@ void Simulator::replay_block(Block& block) {
   }
 }
 
-void Simulator::step() { run_for(1); }
-
 void Simulator::run_for(Minute minutes) {
   const auto n = utilization_.size();
   if (current_.empty()) {

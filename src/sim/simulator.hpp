@@ -2,7 +2,7 @@
 // stepped minute by minute, producing a Trace (see trace.hpp).
 //
 // The simulator advances in blocks of up to kBlockMinutes minutes (a run
-// of run_for(n) is cut into blocks; step() is a block of one). Each block
+// of run_for(n) is cut into blocks; run_for(1) is a block of one). Each block
 // has three phases (Sec. II's data sources, stitched together):
 //   1. pre-pass, serial: step the Scheduler through every minute of the
 //      block, keeping each minute's completions and admissions, staging a
@@ -78,32 +78,19 @@ struct SimConfig {
 /// Runs the whole simulation; the returned Trace is self-contained.
 Trace simulate(const SimConfig& config);
 
-/// Incremental variant for callers that want to observe the machine while
-/// it runs (examples use this for "live" monitoring demos).
+/// The machine behind simulate(). Advancing it in pieces (run_for calls
+/// of any length) saves the same trace bytes as one simulate() call.
 class Simulator {
  public:
   explicit Simulator(const SimConfig& config);
 
-  /// Advances exactly one minute: run_for(1).
-  void step();
   /// Advances `minutes` minutes, in blocks of at most kBlockMinutes.
   void run_for(Minute minutes);
 
   [[nodiscard]] Minute now() const noexcept { return now_; }
-  [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   /// Syncs cumulative telemetry into the trace and takes ownership of it;
   /// the simulator must not be used afterwards.
   [[nodiscard]] Trace take_trace() &&;
-
-  [[nodiscard]] const workload::Scheduler& scheduler() const noexcept {
-    return scheduler_;
-  }
-  [[nodiscard]] const faults::SbeModel& fault_model() const noexcept {
-    return sbe_model_;
-  }
-  [[nodiscard]] const telemetry::TelemetryStore& telemetry() const noexcept {
-    return store_;
-  }
 
  private:
   /// Minutes per block (see the file comment); the last one may be shorter.

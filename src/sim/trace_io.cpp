@@ -420,12 +420,15 @@ std::string cache_path(const SimConfig& config, const std::string& cache_dir) {
   return cache_dir + "/" + name;
 }
 
-Trace cached_simulate(const SimConfig& config, const std::string& cache_dir) {
+Trace cached_simulate(const SimConfig& config, const std::string& cache_dir,
+                      bool* cache_hit) {
   std::filesystem::create_directories(cache_dir);
   const std::string path = cache_path(config, cache_dir);
   {
     OBS_SPAN("sim.trace_cache_load");
-    if (auto loaded = load_trace(config, path)) {
+    auto loaded = load_trace(config, path);
+    if (cache_hit != nullptr) *cache_hit = loaded.has_value();
+    if (loaded) {
       OBS_COUNT("sim.trace_cache_hits");
       return std::move(*loaded);
     }

@@ -47,6 +47,9 @@ std::optional<Trace> load_trace(const SimConfig& config,
 std::string cache_path(const SimConfig& config, const std::string& cache_dir);
 
 /// load_trace or simulate-and-save. `cache_dir` must exist or be creatable.
-Trace cached_simulate(const SimConfig& config, const std::string& cache_dir);
+/// `cache_hit`, when given, is set to whether load_trace served the trace
+/// (false when it was simulated, including after rejecting a corrupt file).
+Trace cached_simulate(const SimConfig& config, const std::string& cache_dir,
+                      bool* cache_hit = nullptr);
 
 }  // namespace repro::sim

@@ -13,12 +13,6 @@ void RingSeries::clear() noexcept {
   size_ = 0;
 }
 
-float RingSeries::back() const {
-  REPRO_CHECK(size_ > 0);
-  const std::size_t i = head_ == 0 ? buf_.size() - 1 : head_ - 1;
-  return buf_[i];
-}
-
 float RingSeries::at_age(std::size_t age) const {
   REPRO_CHECK(age < size_);
   // head_ + capacity - 1 - age is in [0, 2 * capacity): one conditional

@@ -42,8 +42,6 @@ class RingSeries {
   [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
   /// Number of valid samples currently held (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Most recent sample; requires size() > 0.
-  [[nodiscard]] float back() const;
   /// Sample `age` steps ago (age = 0 is the most recent); requires age < size().
   [[nodiscard]] float at_age(std::size_t age) const;
 

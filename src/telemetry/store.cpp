@@ -25,12 +25,6 @@ void TelemetryStore::record(topo::NodeId node, const Reading& r) {
   }
 }
 
-float TelemetryStore::latest(topo::NodeId node, Channel c) const {
-  return nodes_.at(static_cast<std::size_t>(node))
-      .series[static_cast<std::size_t>(c)]
-      .back();
-}
-
 FourStats TelemetryStore::window_stats(topo::NodeId node, Channel c,
                                        std::size_t window) const {
   return nodes_.at(static_cast<std::size_t>(node))

@@ -48,9 +48,6 @@ class TelemetryStore {
 
   void record(topo::NodeId node, const Reading& r);
 
-  /// Most recent reading of a channel; requires at least one record().
-  [[nodiscard]] float latest(topo::NodeId node, Channel c) const;
-
   /// Four-stat summary of the last `window` minutes of a channel.
   [[nodiscard]] FourStats window_stats(topo::NodeId node, Channel c,
                                        std::size_t window) const;

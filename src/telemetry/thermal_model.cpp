@@ -3,8 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "common/parallel.hpp"
-
 namespace repro::telemetry {
 
 ThermalModel::ThermalModel(const topo::Topology& topology,
@@ -27,7 +25,7 @@ ThermalModel::ThermalModel(const topo::Topology& topology,
   efficiency_.resize(n);
   readings_.resize(n);
 
-  // Per-node noise streams for step(): forked up front so the per-minute
+  // Per-node noise streams for advance(): forked up front so the per-minute
   // loop never shares an Rng across threads.
   Rng noise_root = rng_.fork(0x5EED);
   node_noise_.reserve(n);
@@ -64,14 +62,6 @@ ThermalModel::ThermalModel(const topo::Topology& topology,
         ambient_[i] + static_cast<float>(params_.cpu_idle_offset_c);
     readings_[i].gpu_power = static_cast<float>(params_.idle_power_w);
   }
-}
-
-void ThermalModel::step(Minute now, const std::vector<float>& utilization) {
-  const auto nps = static_cast<std::size_t>(nodes_per_slot_);
-  parallel_for(readings_.size(), (256 + nps - 1) / nps * nps,
-               [&](std::size_t begin, std::size_t end) {
-                 advance(begin, end, now, utilization);
-               });
 }
 
 void ThermalModel::advance(std::size_t begin, std::size_t end, Minute now,

@@ -64,30 +64,27 @@ struct ThermalParams {
 /// Simulates the machine's thermal/power state minute by minute.
 ///
 /// Usage: once per simulated minute, fill the utilization vector (GPU busy
-/// fraction per node, 0 when idle) and call step(); then read out
-/// readings() and feed them to TelemetryStore / the fault model.
-///
-/// step() is advance() over every node. A caller that already runs its own
-/// per-node parallel region (the simulator) calls advance() itself on whole
-/// slots, so one region covers the thermal model and the caller's work.
+/// fraction per node, 0 when idle) and call advance() over every node, in
+/// one call or in disjoint whole-slot ranges; then read out readings() and
+/// feed them to TelemetryStore / the fault model. The simulator advances
+/// whole cages inside its own per-block parallel region, so one region
+/// covers the thermal model and the rest of the node pass.
 class ThermalModel {
  public:
   ThermalModel(const topo::Topology& topology, const ThermalParams& params,
                Rng rng);
 
-  /// Advances one minute. `utilization[n]` in [0,1] is node n's GPU load.
-  void step(Minute now, const std::vector<float>& utilization);
-
   /// Advances nodes [begin, end), a whole number of slots, to minute `now`
-  /// under `utilization` (indexed by node; only [begin, end) is read).
-  /// Slots are independent (each node owns its reading and noise stream,
-  /// and neighbor coupling stays within a slot), so disjoint ranges may run
-  /// concurrently in any order with a result bitwise-identical to a serial
-  /// step.
+  /// under `utilization` (indexed by node, in [0,1]; only [begin, end) is
+  /// read). Slots are independent (each node owns its reading and noise
+  /// stream, and neighbor coupling stays within a slot), so disjoint ranges
+  /// may run concurrently in any order with a result bitwise-identical to
+  /// one call over every node.
   void advance(std::size_t begin, std::size_t end, Minute now,
                const std::vector<float>& utilization);
 
-  /// Readings produced by the latest step() (valid after the first step).
+  /// Current reading of every node (the idle equilibrium before the first
+  /// advance()).
   [[nodiscard]] const std::vector<Reading>& readings() const noexcept {
     return readings_;
   }

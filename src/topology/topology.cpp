@@ -41,29 +41,6 @@ CabinetId Topology::cabinet_of(NodeId id) const {
   return id / config_.nodes_per_cabinet();
 }
 
-std::pair<std::int32_t, std::int32_t> Topology::cabinet_xy(
-    CabinetId cab) const {
-  REPRO_CHECK_MSG(cab >= 0 && cab < config_.cabinets(),
-                  "cabinet id out of range: " << cab);
-  return {cab % config_.grid_x, cab / config_.grid_x};
-}
-
-NodeId Topology::slot_base(NodeId id) const {
-  REPRO_CHECK_MSG(id >= 0 && id < total_nodes(), "node id out of range: " << id);
-  return id - id % config_.nodes_per_slot;
-}
-
-std::vector<NodeId> Topology::slot_neighbors(NodeId id) const {
-  const NodeId base = slot_base(id);
-  std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(config_.nodes_per_slot) - 1);
-  for (std::int32_t i = 0; i < config_.nodes_per_slot; ++i) {
-    const NodeId n = base + i;
-    if (n != id) out.push_back(n);
-  }
-  return out;
-}
-
 std::vector<NodeId> Topology::cage_neighbors(NodeId id) const {
   REPRO_CHECK_MSG(id >= 0 && id < total_nodes(), "node id out of range: " << id);
   const std::int32_t cage_size =
@@ -75,16 +52,6 @@ std::vector<NodeId> Topology::cage_neighbors(NodeId id) const {
     const NodeId n = base + i;
     if (n != id) out.push_back(n);
   }
-  return out;
-}
-
-std::vector<NodeId> Topology::cabinet_nodes(CabinetId cab) const {
-  REPRO_CHECK_MSG(cab >= 0 && cab < config_.cabinets(),
-                  "cabinet id out of range: " << cab);
-  const std::int32_t per = config_.nodes_per_cabinet();
-  std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(per));
-  for (std::int32_t i = 0; i < per; ++i) out.push_back(cab * per + i);
   return out;
 }
 

@@ -95,22 +95,8 @@ class Topology {
   /// Cabinet containing the node.
   [[nodiscard]] CabinetId cabinet_of(NodeId id) const;
 
-  /// (x, y) floor-grid position of a cabinet.
-  [[nodiscard]] std::pair<std::int32_t, std::int32_t> cabinet_xy(
-      CabinetId cab) const;
-
-  /// The other nodes sharing the node's slot (its closest thermal
-  /// neighbors; the paper's spatial T/P features average over these).
-  [[nodiscard]] std::vector<NodeId> slot_neighbors(NodeId id) const;
-
   /// All nodes in the node's cage, excluding the node itself.
   [[nodiscard]] std::vector<NodeId> cage_neighbors(NodeId id) const;
-
-  /// All nodes in the given cabinet.
-  [[nodiscard]] std::vector<NodeId> cabinet_nodes(CabinetId cab) const;
-
-  /// First node id of the slot containing `id` (slot-contiguous layout).
-  [[nodiscard]] NodeId slot_base(NodeId id) const;
 
  private:
   SystemConfig config_;

@@ -46,9 +46,6 @@ class AppCatalog {
 
   [[nodiscard]] std::size_t size() const noexcept { return apps_.size(); }
   [[nodiscard]] const ApplicationSpec& spec(AppId id) const;
-  [[nodiscard]] const std::vector<ApplicationSpec>& specs() const noexcept {
-    return apps_;
-  }
 
   /// Draws an application id with Zipf popularity.
   [[nodiscard]] AppId sample(Rng& rng) const;

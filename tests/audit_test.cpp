@@ -132,13 +132,13 @@ TEST_F(AuditTest, KsMatchesHandComputation) {
   // F_a and F_b differ most just below 3: F_a = 2/4, F_b = 0.
   const std::vector<float> a{1.0f, 2.0f, 3.0f, 4.0f};
   const std::vector<float> b{3.0f, 4.0f, 5.0f, 6.0f};
-  EXPECT_NEAR(ml::ks_statistic(a, b), 0.5, 1e-12);
-  EXPECT_EQ(ml::ks_statistic(a, a), 0.0);
-  EXPECT_EQ(ml::ks_statistic({}, b), 0.0);
+  EXPECT_NEAR(ml::ks_statistic_sorted(a, b), 0.5, 1e-12);
+  EXPECT_EQ(ml::ks_statistic_sorted(a, a), 0.0);
+  EXPECT_EQ(ml::ks_statistic_sorted({}, b), 0.0);
   // Disjoint supports: the full mass separates.
   const std::vector<float> lo{0.0f, 1.0f};
   const std::vector<float> hi{10.0f, 11.0f};
-  EXPECT_NEAR(ml::ks_statistic(lo, hi), 1.0, 1e-12);
+  EXPECT_NEAR(ml::ks_statistic_sorted(lo, hi), 1.0, 1e-12);
 }
 
 TEST_F(AuditTest, AssessPublishesGauges) {

@@ -62,20 +62,6 @@ TEST(Rng, UniformIndexCoversRange) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(6);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5'000; ++i) {
-    const auto v = rng.uniform_int(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, BernoulliMatchesProbability) {
   Rng rng(7);
   int hits = 0;
@@ -134,14 +120,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(xs[10'000], 3.0, 0.2);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(13);
-  double sum = 0.0;
-  constexpr int kN = 50'000;
-  for (int i = 0; i < kN; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / kN, 0.5, 0.02);
-}
-
 class PoissonMeanTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(PoissonMeanTest, MeanMatches) {
@@ -159,17 +137,17 @@ INSTANTIATE_TEST_SUITE_P(Means, PoissonMeanTest,
                          ::testing::Values(0.0, 0.1, 1.0, 5.0, 31.0, 50.0));
 
 TEST(Rng, ZipfSamplerFavorsLowRanks) {
-  ZipfSampler zipf(100, 1.2);
+  ZipfSampler sampler(100, 1.2);
   Rng rng(14);
   std::vector<int> counts(100, 0);
-  for (int i = 0; i < 50'000; ++i) ++counts[zipf(rng)];
+  for (int i = 0; i < 50'000; ++i) ++counts[sampler(rng)];
   EXPECT_GT(counts[0], counts[10]);
   EXPECT_GT(counts[1], counts[50]);
   // pmf is normalized and decreasing.
   double total = 0.0;
-  for (std::size_t k = 0; k < 100; ++k) total += zipf.pmf(k);
+  for (std::size_t k = 0; k < 100; ++k) total += sampler.pmf(k);
   EXPECT_NEAR(total, 1.0, 1e-9);
-  EXPECT_GT(zipf.pmf(0), zipf.pmf(1));
+  EXPECT_GT(sampler.pmf(0), sampler.pmf(1));
 }
 
 TEST(Rng, ShuffleIsPermutation) {

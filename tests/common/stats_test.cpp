@@ -56,15 +56,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
-TEST(SeriesStats, TracksDiffs) {
-  SeriesStats s;
-  for (const double x : {1.0, 3.0, 6.0, 10.0}) s.add(x);
-  EXPECT_EQ(s.value().count(), 4u);
-  EXPECT_EQ(s.diff().count(), 3u);
-  EXPECT_DOUBLE_EQ(s.value().mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.diff().mean(), 3.0);  // diffs: 2, 3, 4
-}
-
 TEST(Quantile, InterpolatesLinearly) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);

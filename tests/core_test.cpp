@@ -137,16 +137,24 @@ TEST_F(BaselinesTest, PredictBeforeTrainThrows) {
 
 class TwoStageTest : public ::testing::Test {
  protected:
+  /// The default TwoStageConfig (GBDT) trained on train_: fitted on first
+  /// use and shared by every case that only reads a trained predictor.
+  const TwoStagePredictor& default_fit() const {
+    static const TwoStagePredictor predictor = [this] {
+      TwoStagePredictor p({});
+      p.train(trace_, train_);
+      return p;
+    }();
+    return predictor;
+  }
+
   const sim::Trace& trace_ = shared_pipeline_trace();
   Interval train_{0, day_start(28)};
   Interval test_{day_start(28), day_start(40)};
 };
 
 TEST_F(TwoStageTest, BeatsBasicA) {
-  TwoStageConfig config;
-  config.model = ml::ModelKind::kGbdt;
-  TwoStagePredictor predictor(config);
-  predictor.train(trace_, train_);
+  const TwoStagePredictor& predictor = default_fit();
   const auto m = predictor.evaluate(trace_, test_);
 
   BasicScheme basic_a(BasicKind::kBasicA);
@@ -159,8 +167,7 @@ TEST_F(TwoStageTest, BeatsBasicA) {
 }
 
 TEST_F(TwoStageTest, StageOneRejectsGetZeroProbability) {
-  TwoStagePredictor predictor({});
-  predictor.train(trace_, train_);
+  const TwoStagePredictor& predictor = default_fit();
   const auto idx = samples_in(trace_, test_);
   const auto proba = predictor.predict_proba(trace_, idx);
   const auto& mask = predictor.offender_mask();
@@ -173,8 +180,7 @@ TEST_F(TwoStageTest, StageOneRejectsGetZeroProbability) {
 }
 
 TEST_F(TwoStageTest, Stage2TrainsOnlyOnOffenderSamples) {
-  TwoStagePredictor predictor({});
-  predictor.train(trace_, train_);
+  const TwoStagePredictor& predictor = default_fit();
   std::size_t offender_samples = 0;
   const auto& mask = predictor.offender_mask();
   for (const std::size_t i : samples_in(trace_, train_)) {
@@ -205,21 +211,18 @@ TEST_F(TwoStageTest, UndersamplingShrinksStage2) {
   config.undersample_ratio = 1.0;
   TwoStagePredictor predictor(config);
   predictor.train(trace_, train_);
-  TwoStagePredictor plain({});
-  plain.train(trace_, train_);
-  EXPECT_LT(predictor.stage2_training_size(), plain.stage2_training_size());
+  EXPECT_LT(predictor.stage2_training_size(),
+            default_fit().stage2_training_size());
 }
 
 TEST_F(TwoStageTest, ForecastedFeaturesGiveSimilarResults) {
   // Sec. VI-A: "We experiment with two approaches and achieve similar
   // results." Approach 2 forecasts the current-run T/P features.
-  TwoStageConfig approach1;
   TwoStageConfig approach2;
   approach2.features.forecast_current_run = true;
-  TwoStagePredictor p1(approach1), p2(approach2);
-  p1.train(trace_, train_);
+  TwoStagePredictor p2(approach2);
   p2.train(trace_, train_);
-  const double f1_measured = p1.evaluate(trace_, test_).positive.f1;
+  const double f1_measured = default_fit().evaluate(trace_, test_).positive.f1;
   const double f1_forecast = p2.evaluate(trace_, test_).positive.f1;
   EXPECT_GT(f1_forecast, 0.4);
   EXPECT_NEAR(f1_forecast, f1_measured, 0.12);
@@ -267,16 +270,14 @@ TEST_F(TwoStageTest, PipelineIsBitwiseInvariantAcrossThreadCounts) {
 }
 
 TEST_F(TwoStageTest, TrainSecondsIsPopulated) {
-  TwoStagePredictor predictor({});
-  predictor.train(trace_, train_);
+  const TwoStagePredictor& predictor = default_fit();
   EXPECT_GT(predictor.train_seconds(), 0.0);
 }
 
 // --- evaluation breakdowns -----------------------------------------------------
 
 TEST_F(TwoStageTest, CabinetCountsSumToTotals) {
-  TwoStagePredictor predictor({});
-  predictor.train(trace_, train_);
+  const TwoStagePredictor& predictor = default_fit();
   const auto idx = samples_in(trace_, test_);
   const auto pred = predictor.predict(trace_, idx);
   const CabinetCounts counts = cabinet_counts(trace_, idx, pred);
@@ -299,8 +300,7 @@ TEST_F(TwoStageTest, CabinetCountsSumToTotals) {
 }
 
 TEST_F(TwoStageTest, RuntimeBreakdownCutoffsAreQuartiles) {
-  TwoStagePredictor predictor({});
-  predictor.train(trace_, train_);
+  const TwoStagePredictor& predictor = default_fit();
   const auto idx = samples_in(trace_, test_);
   const auto pred = predictor.predict(trace_, idx);
   const RuntimeBreakdown rb = runtime_breakdown(trace_, idx, pred);
@@ -339,8 +339,7 @@ TEST(SeverityBreakdown, HandCraftedLevels) {
 // --- ECC advisor ---------------------------------------------------------------
 
 TEST_F(TwoStageTest, EccAdvisorAccountingIdentities) {
-  TwoStagePredictor predictor({});
-  predictor.train(trace_, train_);
+  const TwoStagePredictor& predictor = default_fit();
   const auto idx = samples_in(trace_, test_);
   const auto pred = predictor.predict(trace_, idx);
   const EccReport report = advise_ecc(trace_, idx, pred);

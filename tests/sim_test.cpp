@@ -206,7 +206,7 @@ TEST(Simulator, IncrementalStepMatchesBatch) {
   SimConfig cfg = SimConfig::testing(2, 9);
   cfg.probe_nodes = {2, 40};
   Simulator inc(cfg);
-  for (int i = 0; i < 5; ++i) inc.step();
+  for (int i = 0; i < 5; ++i) inc.run_for(1);
   inc.run_for(7);
   inc.run_for(61);
   EXPECT_EQ(inc.now(), 73);
@@ -261,10 +261,26 @@ TEST(TraceIo, RejectsMismatchedConfig) {
 TEST(TraceIo, CachedSimulateHitsCache) {
   SimConfig cfg = SimConfig::testing(2, 91);
   const std::string dir = ::testing::TempDir() + "trace_cache";
-  const Trace first = cached_simulate(cfg, dir);
-  const Trace second = cached_simulate(cfg, dir);  // served from disk
+  std::filesystem::remove_all(dir);
+  bool hit = true;
+  const Trace first = cached_simulate(cfg, dir, &hit);
+  EXPECT_FALSE(hit);
+  const Trace second = cached_simulate(cfg, dir, &hit);  // served from disk
+  EXPECT_TRUE(hit);
   EXPECT_EQ(first.samples.size(), second.samples.size());
   EXPECT_EQ(first.sbe_log.events().size(), second.sbe_log.events().size());
+
+  // A truncated file exists but does not load: a miss, and the simulated
+  // trace replaces it, so the next call hits again.
+  const std::string path = cache_path(cfg, dir);
+  const auto size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, size / 2);
+  (void)cached_simulate(cfg, dir, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+  const Trace again = cached_simulate(cfg, dir, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again.samples.size(), first.samples.size());
 }
 
 TEST(TraceIo, DifferentConfigsGetDistinctCacheEntries) {

@@ -14,13 +14,12 @@ namespace {
 
 // --- RingSeries ------------------------------------------------------------
 
-TEST(RingSeries, BackAndAtAge) {
+TEST(RingSeries, AtAge) {
   RingSeries s(4);
   s.push(1.0f);
   s.push(2.0f);
   s.push(3.0f);
   EXPECT_EQ(s.size(), 3u);
-  EXPECT_FLOAT_EQ(s.back(), 3.0f);
   EXPECT_FLOAT_EQ(s.at_age(0), 3.0f);
   EXPECT_FLOAT_EQ(s.at_age(2), 1.0f);
 }
@@ -96,7 +95,7 @@ TEST(TelemetryStore, RecordsAndQueries) {
                      .gpu_power = 100.0f,
                      .cpu_temp = 35.0f});
   }
-  EXPECT_FLOAT_EQ(store.latest(0, Channel::kGpuTemp), 39.0f);
+  EXPECT_FLOAT_EQ(store.history_at(0, Channel::kGpuTemp, 0), 39.0f);
   const FourStats s = store.window_stats(0, Channel::kGpuTemp, 5);
   EXPECT_FLOAT_EQ(s.mean, 37.0f);  // 35..39
   EXPECT_FLOAT_EQ(s.diff_mean, 1.0f);
@@ -115,13 +114,14 @@ class ThermalModelTest : public ::testing::Test {
  protected:
   topo::Topology topo_{topo::SystemConfig::tiny()};
   ThermalParams params_{};
+  const std::size_t nodes_ = static_cast<std::size_t>(topo_.total_nodes());
 };
 
 TEST_F(ThermalModelTest, IdleMachineStaysNearAmbient) {
   ThermalModel model(topo_, params_, Rng(5));
   const std::vector<float> idle(
       static_cast<std::size_t>(topo_.total_nodes()), 0.0f);
-  for (Minute t = 0; t < 120; ++t) model.step(t, idle);
+  for (Minute t = 0; t < 120; ++t) model.advance(0, nodes_, t, idle);
   for (std::int32_t n = 0; n < topo_.total_nodes(); ++n) {
     const auto& r = model.readings()[static_cast<std::size_t>(n)];
     const double expected = model.ambient_of(n) + params_.idle_offset_c;
@@ -133,10 +133,10 @@ TEST_F(ThermalModelTest, IdleMachineStaysNearAmbient) {
 TEST_F(ThermalModelTest, LoadedNodeHeatsUpAndDrawsPower) {
   ThermalModel model(topo_, params_, Rng(6));
   std::vector<float> util(static_cast<std::size_t>(topo_.total_nodes()), 0.0f);
-  for (Minute t = 0; t < 60; ++t) model.step(t, util);
+  for (Minute t = 0; t < 60; ++t) model.advance(0, nodes_, t, util);
   const float idle_temp = model.readings()[0].gpu_temp;
   util[0] = 1.0f;
-  for (Minute t = 60; t < 180; ++t) model.step(t, util);
+  for (Minute t = 60; t < 180; ++t) model.advance(0, nodes_, t, util);
   const auto& r = model.readings()[0];
   EXPECT_GT(r.gpu_temp, idle_temp + 10.0f);
   EXPECT_GT(r.gpu_power, 150.0f);
@@ -146,11 +146,11 @@ TEST_F(ThermalModelTest, LoadedNodeHeatsUpAndDrawsPower) {
 TEST_F(ThermalModelTest, NeighborLoadWarmsIdleNode) {
   ThermalModel model(topo_, params_, Rng(7));
   std::vector<float> util(static_cast<std::size_t>(topo_.total_nodes()), 0.0f);
-  for (Minute t = 0; t < 60; ++t) model.step(t, util);
+  for (Minute t = 0; t < 60; ++t) model.advance(0, nodes_, t, util);
   const float before = model.readings()[0].gpu_temp;
   // Load node 0's slot peers (nodes 1..3) but not node 0.
   util[1] = util[2] = util[3] = 1.0f;
-  for (Minute t = 60; t < 240; ++t) model.step(t, util);
+  for (Minute t = 60; t < 240; ++t) model.advance(0, nodes_, t, util);
   EXPECT_GT(model.readings()[0].gpu_temp, before + 1.5f);
 }
 
@@ -170,8 +170,8 @@ TEST_F(ThermalModelTest, DeterministicForSameSeed) {
   ThermalModel b(topo_, params_, Rng(9));
   std::vector<float> util(static_cast<std::size_t>(topo_.total_nodes()), 0.5f);
   for (Minute t = 0; t < 30; ++t) {
-    a.step(t, util);
-    b.step(t, util);
+    a.advance(0, nodes_, t, util);
+    b.advance(0, nodes_, t, util);
   }
   for (std::size_t n = 0; n < util.size(); ++n) {
     EXPECT_FLOAT_EQ(a.readings()[n].gpu_temp, b.readings()[n].gpu_temp);
@@ -182,7 +182,7 @@ TEST_F(ThermalModelTest, DeterministicForSameSeed) {
 TEST_F(ThermalModelTest, RejectsWrongUtilizationSize) {
   ThermalModel model(topo_, params_, Rng(10));
   std::vector<float> wrong(3, 0.0f);
-  EXPECT_THROW(model.step(0, wrong), CheckError);
+  EXPECT_THROW(model.advance(0, nodes_, 0, wrong), CheckError);
 }
 
 }  // namespace

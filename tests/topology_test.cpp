@@ -66,22 +66,6 @@ INSTANTIATE_TEST_SUITE_P(Configs, TopologyBijectionTest,
                                                         .slots_per_cage = 3,
                                                         .nodes_per_slot = 2}));
 
-TEST(Topology, SlotNeighborsShareSlot) {
-  const Topology topo(SystemConfig::titan_scaled());
-  const NodeId id = 42;
-  const auto neighbors = topo.slot_neighbors(id);
-  EXPECT_EQ(neighbors.size(), 3u);  // 4 nodes per slot
-  const NodeAddress a = topo.address_of(id);
-  for (const NodeId n : neighbors) {
-    EXPECT_NE(n, id);
-    const NodeAddress b = topo.address_of(n);
-    EXPECT_EQ(a.cab_x, b.cab_x);
-    EXPECT_EQ(a.cab_y, b.cab_y);
-    EXPECT_EQ(a.cage, b.cage);
-    EXPECT_EQ(a.slot, b.slot);
-  }
-}
-
 TEST(Topology, CageNeighborsShareCage) {
   const SystemConfig cfg = SystemConfig::titan();
   const Topology topo(cfg);
@@ -99,36 +83,11 @@ TEST(Topology, CageNeighborsShareCage) {
   }
 }
 
-TEST(Topology, CabinetNodesAndXy) {
-  const Topology topo(SystemConfig::tiny());
-  const auto nodes = topo.cabinet_nodes(3);
-  EXPECT_EQ(nodes.size(),
-            static_cast<std::size_t>(topo.config().nodes_per_cabinet()));
-  for (const NodeId n : nodes) EXPECT_EQ(topo.cabinet_of(n), 3);
-  const auto [x, y] = topo.cabinet_xy(3);
-  EXPECT_EQ(x, 3);  // tiny grid is 4 wide
-  EXPECT_EQ(y, 0);
-  const auto [x2, y2] = topo.cabinet_xy(5);
-  EXPECT_EQ(x2, 1);
-  EXPECT_EQ(y2, 1);
-}
-
-TEST(Topology, SlotBaseIsAligned) {
-  const Topology topo(SystemConfig::titan_scaled());
-  for (NodeId id = 0; id < 64; ++id) {
-    const NodeId base = topo.slot_base(id);
-    EXPECT_EQ(base % topo.config().nodes_per_slot, 0);
-    EXPECT_LE(base, id);
-    EXPECT_GT(base + topo.config().nodes_per_slot, id);
-  }
-}
-
 TEST(Topology, OutOfRangeThrows) {
   const Topology topo(SystemConfig::tiny());
   EXPECT_THROW(topo.address_of(-1), CheckError);
   EXPECT_THROW(topo.address_of(topo.total_nodes()), CheckError);
   EXPECT_THROW(topo.cabinet_of(topo.total_nodes()), CheckError);
-  EXPECT_THROW(topo.cabinet_xy(topo.config().cabinets()), CheckError);
   EXPECT_THROW(topo.id_of({.cab_x = 99}), CheckError);
 }
 

@@ -10,8 +10,7 @@
 //   * eval metrics — last dot-segment f1/precision/recall/accuracy/auc
 //     (higher is better) or brier/ece (lower is better). Any worsening
 //     beyond 1e-9 is a regression: eval numbers are deterministic for a
-//     fixed seed, so they must not move at all. Keys containing "baseline"
-//     are skipped (they describe the comparison floor, not the model).
+//     fixed seed, so they must not move at all.
 //   * perf metrics — keys ending in "_seconds". A regression is
 //     new > old * (1 + tolerance); default tolerance 25%, settable via
 //     --perf-tolerance (percent) to absorb machine-to-machine noise.
@@ -82,7 +81,6 @@ std::string last_segment(const std::string& key) {
 
 /// +1: higher is better, -1: lower is better, 0: not an eval metric.
 int eval_direction(const std::string& key) {
-  if (key.find("baseline") != std::string::npos) return 0;
   const std::string leaf = last_segment(key);
   if (leaf == "f1" || leaf == "precision" || leaf == "recall" ||
       leaf == "accuracy" || leaf == "auc") {
