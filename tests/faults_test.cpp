@@ -198,8 +198,8 @@ TEST(SbeLog, NegativeWindowBoundsClampToZero) {
 TEST(SbeLog, InvertedWindowIsACallerBug) {
   SbeLog log(4, 2);
   log.add(event(1, 0, 1, 50, 1));
-  EXPECT_THROW(log.node_count_between(1, 100, 50), CheckError);
-  EXPECT_THROW(log.global_count_between(200, 100), CheckError);
+  EXPECT_THROW((void)log.node_count_between(1, 100, 50), CheckError);
+  EXPECT_THROW((void)log.global_count_between(200, 100), CheckError);
 }
 
 }  // namespace
