@@ -606,7 +606,6 @@ ml::ClassMetrics single_stage(const sim::Trace& trace,
 // and (c) TwoStage + additional undersampling. Every fit is its own, timed.
 int ablation_twostage(const sim::Trace& trace, FitMemo& fits) {
   const core::SplitSpec& ds1 = fits.splits()[0];
-  const auto idx = core::samples_in(trace, ds1.test);
 
   TextTable t({"Pipeline", "F1", "Precision", "Recall", "train rows",
                "fit seconds"});
@@ -616,7 +615,7 @@ int ablation_twostage(const sim::Trace& trace, FitMemo& fits) {
     config.undersample_ratio = ratio;
     core::TwoStagePredictor p(config);
     p.train(trace, ds1.train);
-    const auto m = core::evaluate_predictions(trace, idx, p.predict(trace, idx));
+    const auto m = p.evaluate(trace, ds1.test);
     t.add_row(ratio == 0.0 ? "TwoStage (paper)" : "TwoStage + undersample 2:1",
               {m.positive.f1, m.positive.precision, m.positive.recall,
                static_cast<double>(p.stage2_training_size()),

@@ -19,8 +19,8 @@ QualityReport assess(std::span<const std::uint8_t> truth,
   if (truth.empty()) return q;
   q.brier = ml::brier_score(truth, proba);
   q.auc = ml::roc_auc(truth, proba);
-  q.bins = ml::reliability_bins(truth, proba, reliability_bin_count);
-  q.ece = ml::expected_calibration_error(q.bins);
+  q.ece = ml::expected_calibration_error(
+      ml::reliability_bins(truth, proba, reliability_bin_count));
   std::uint64_t pos = 0;
   for (const auto t : truth) pos += t != 0 ? 1 : 0;
   q.positive_rate = static_cast<double>(pos) / static_cast<double>(truth.size());

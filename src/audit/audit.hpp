@@ -2,9 +2,9 @@
 // src/obs and answers *why* a retraining period degraded, not just that it
 // did. Three parts:
 //
-//   * Quality assessment — Brier score, ROC-AUC, reliability bins and ECE
-//     over (truth, probability) pairs (ml/metrics primitives), published
-//     as obs gauges `audit.brier`, `audit.auc`, `audit.ece`,
+//   * Quality assessment — Brier score, ROC-AUC and ECE (over reliability
+//     bins) of (truth, probability) pairs (ml/metrics primitives),
+//     published as obs gauges `audit.brier`, `audit.auc`, `audit.ece`,
 //     `audit.positive_rate` so they land in BENCH_<name>.json as
 //     `obs.audit.*` keys.
 //   * Drift detection — see audit/drift.hpp; TwoStagePredictor publishes
@@ -14,6 +14,10 @@
 //     with one manifest line per trained model and one record per
 //     prediction: score, threshold, decision, truth, stage-1 outcome, and
 //     the top-k per-feature score contributions (ml::Model::explain).
+//
+// Quality and drift describe an evaluated window: TwoStagePredictor
+// computes them once per evaluate_window (the drift reference once per
+// train), never per predict call.
 //
 // Determinism contract: with the sink inactive and obs disabled, nothing
 // here runs — call sites gate on audit::sink() / obs::enabled(), and every
@@ -48,7 +52,6 @@ struct QualityReport {
   double auc = 0.5;
   double ece = 0.0;
   double positive_rate = 0.0;
-  std::vector<ml::ReliabilityBin> bins;
 };
 
 /// Pure quality assessment of a probability forecast against truth.

@@ -25,21 +25,12 @@ std::vector<RetrainingPeriod> run_retraining(const sim::Trace& trace,
     for (const char c : predictor.offender_mask()) {
       period.offender_nodes += c ? 1 : 0;
     }
-    const auto idx = samples_in(trace, period.test);
-    period.test_samples = idx.size();
-    std::vector<float> proba;
-    const auto pred = predictor.predict(trace, idx, &proba);
-    period.metrics = evaluate_predictions(trace, idx, pred);
-    // Per-period model-quality audit (gated on the obs switch like the
-    // rest of the audit layer): calibration of the period's probability
-    // forecast plus the drift summary predict_proba just computed. The
-    // last period's values remain on the audit.* gauges for artifacts.
-    if (obs::enabled() && !idx.empty()) {
-      const std::vector<ml::Label> truth = labels_of(trace, idx);
-      period.quality = audit::assess(truth, proba);
-      audit::publish(period.quality);
-      period.drift = predictor.last_drift();
-    }
+    // The last period's audit values remain on the audit.* gauges.
+    WindowEvaluation eval = predictor.evaluate_window(trace, period.test);
+    period.test_samples = eval.proba.size();
+    period.metrics = eval.metrics;
+    period.quality = std::move(eval.quality);
+    period.drift = std::move(eval.drift);
     out.push_back(std::move(period));
   }
   return out;

@@ -27,9 +27,9 @@ struct RetrainingPeriod {
   double train_seconds = 0.0;
   std::size_t offender_nodes = 0;
   std::size_t test_samples = 0;
-  /// Model-quality observability for the period (DESIGN.md §8), populated
-  /// only when obs metrics are enabled: probability calibration (Brier /
-  /// AUC / ECE / reliability bins) and train-vs-test feature drift.
+  /// Model-quality observability for the period (DESIGN.md §8), from its
+  /// test window's evaluation and valid only with obs metrics on: the
+  /// calibration (Brier / AUC / ECE) and train-vs-test feature drift.
   audit::QualityReport quality;
   audit::DriftSummary drift;
 };

@@ -14,7 +14,9 @@ TwoStagePredictor::TwoStagePredictor(const TwoStageConfig& config)
 
 void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
   OBS_SPAN("two_stage.train");
-  train_window_ = train_window;
+  // The drift reference belongs to one model: a retrain that does not
+  // refit it (obs off, or degraded) must not leave the last model's behind.
+  drift_ = {};
   extractor_ = std::make_unique<features::FeatureExtractor>(trace,
                                                             config_.features);
   std::vector<std::size_t> train_idx;
@@ -66,10 +68,9 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
   scaler_.transform_inplace(train_set.X);
 
   // Model-quality observability (DESIGN.md §8): remember the scaled
-  // training distribution so predict-time drift has a reference, and
-  // publish the stage-1 rebalancing gauges. Pure reads — skipping them
-  // (obs off) cannot change anything downstream.
-  last_drift_ = {};
+  // training distribution so the window evaluation's drift has a
+  // reference, and publish the stage-1 rebalancing gauges. Pure reads —
+  // skipping them (obs off) cannot change anything downstream.
   if (obs::enabled()) {
     OBS_SPAN("audit.drift_fit");
     drift_.fit(train_set.X);
@@ -114,24 +115,23 @@ void TwoStagePredictor::train(const sim::Trace& trace, Interval train_window) {
 
 std::vector<float> TwoStagePredictor::predict_proba(
     const sim::Trace& trace, std::span<const std::size_t> idx) const {
-  Stage2Rows rows;
-  return score(trace, idx, rows);
+  return score(trace, idx).proba;
 }
 
-std::vector<float> TwoStagePredictor::score(const sim::Trace& trace,
-                                            std::span<const std::size_t> idx,
-                                            Stage2Rows& rows) const {
+TwoStagePredictor::Scored TwoStagePredictor::score(
+    const sim::Trace& trace, std::span<const std::size_t> idx) const {
   REPRO_CHECK_MSG(trained(), "predict before train");
   OBS_SPAN("two_stage.predict");
-  std::vector<float> out(idx.size(), 0.0f);
+  Scored scored;
+  scored.proba.assign(idx.size(), 0.0f);
   if (degraded_) {
     // Stage 2 never trained: stage 1 alone, i.e. everything SBE-free.
     OBS_COUNT_ADD("two_stage.predict_samples_seen", idx.size());
-    return out;
+    return scored;
   }
   // Stage 1 filters to offender nodes; everything else is predicted
   // SBE-free (proba 0) without touching the model.
-  std::vector<std::size_t>& accepted = rows.accepted;
+  std::vector<std::size_t>& accepted = scored.accepted;
   accepted.reserve(idx.size());
   for (std::size_t k = 0; k < idx.size(); ++k) {
     const sim::RunNodeSample& s = trace.samples[idx[k]];
@@ -141,16 +141,11 @@ std::vector<float> TwoStagePredictor::score(const sim::Trace& trace,
   }
   OBS_COUNT_ADD("two_stage.predict_samples_seen", idx.size());
   OBS_COUNT_ADD("two_stage.predict_stage1_survivors", accepted.size());
-  if (obs::enabled() && !idx.empty()) {
-    obs::gauge("audit.survivor_rate")
-        .set(static_cast<double>(accepted.size()) /
-             static_cast<double>(idx.size()));
-  }
-  if (accepted.empty()) return out;
+  if (accepted.empty()) return scored;
   // Stage 2 is batched: extract + scale every accepted sample's feature
   // row (disjoint writes), then one predict_proba_many call so models with
   // fast batched inference get contiguous rows.
-  ml::Matrix& features = rows.features;
+  ml::Matrix& features = scored.features;
   features = ml::Matrix(accepted.size(), extractor_->dim());
   parallel_for(accepted.size(), 128, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -159,39 +154,22 @@ std::vector<float> TwoStagePredictor::score(const sim::Trace& trace,
       scaler_.transform_row(row);
     }
   });
-  // Train-vs-serve drift over the features the model actually scored
-  // (stage-2 survivors); a degraded period points at the features that
-  // moved. Reads the fitted reference + the local matrix, writes gauges
-  // and the per-predictor summary only.
-  if (obs::enabled() && drift_.fitted()) {
-    OBS_SPAN("audit.drift_compare");
-    last_drift_ = drift_.compare(features);
-    if (last_drift_.valid) {
-      const auto& names = extractor_->names();
-      last_drift_.psi_argmax_name = names[last_drift_.psi_argmax];
-      last_drift_.ks_argmax_name = names[last_drift_.ks_argmax];
-      obs::gauge("audit.psi_max").set(last_drift_.psi_max);
-      obs::gauge("audit.psi_argmax_feature")
-          .set(static_cast<double>(last_drift_.psi_argmax));
-      obs::gauge("audit.ks_max").set(last_drift_.ks_max);
-      obs::gauge("audit.ks_argmax_feature")
-          .set(static_cast<double>(last_drift_.ks_argmax));
-      obs::gauge("audit.psi_drifted_features")
-          .set(static_cast<double>(last_drift_.psi_drifted));
-    }
-  }
   const std::vector<float> proba = model_->predict_proba_many(features);
   for (std::size_t i = 0; i < accepted.size(); ++i) {
-    out[accepted[i]] = proba[i];
+    scored.proba[accepted[i]] = proba[i];
   }
-  return out;
+  return scored;
 }
 
 std::vector<ml::Label> TwoStagePredictor::predict(
+    const sim::Trace& trace, std::span<const std::size_t> idx) const {
+  return decide(trace, idx, score(trace, idx));
+}
+
+std::vector<ml::Label> TwoStagePredictor::decide(
     const sim::Trace& trace, std::span<const std::size_t> idx,
-    std::vector<float>* proba_out) const {
-  Stage2Rows scored;
-  std::vector<float> proba = score(trace, idx, scored);
+    const Scored& scored) const {
+  const std::vector<float>& proba = scored.proba;
   std::vector<ml::Label> out(proba.size());
   for (std::size_t i = 0; i < proba.size(); ++i) {
     out[i] = proba[i] >= config_.threshold ? 1 : 0;
@@ -240,23 +218,51 @@ std::vector<ml::Label> TwoStagePredictor::predict(
     });
     s->write_lines(lines);
   }
-  if (proba_out != nullptr) *proba_out = std::move(proba);
   return out;
+}
+
+WindowEvaluation TwoStagePredictor::evaluate_window(
+    const sim::Trace& trace, Interval test_window) const {
+  OBS_SPAN("two_stage.evaluate");
+  const std::vector<std::size_t> idx = samples_in(trace, test_window);
+  Scored scored = score(trace, idx);
+  WindowEvaluation eval;
+  eval.metrics = evaluate_predictions(trace, idx, decide(trace, idx, scored));
+  eval.proba = std::move(scored.proba);
+  // The window's model-quality audit (DESIGN.md §8): pure reads of
+  // (truth, proba) and of the rows stage 2 scored.
+  if (!obs::enabled() || idx.empty()) return eval;
+  eval.quality = audit::assess(labels_of(trace, idx), eval.proba);
+  audit::publish(eval.quality);
+  if (degraded_) return eval;
+  obs::gauge("audit.survivor_rate")
+      .set(static_cast<double>(scored.accepted.size()) /
+           static_cast<double>(idx.size()));
+  // Train-vs-serve drift over the rows stage 2 scored: a degraded period
+  // points at the features that moved.
+  if (!drift_.fitted() || scored.accepted.empty()) return eval;
+  OBS_SPAN("audit.drift_compare");
+  audit::DriftSummary& drift = eval.drift;
+  drift = drift_.compare(scored.features);
+  if (drift.valid) {
+    const auto& names = extractor_->names();
+    drift.psi_argmax_name = names[drift.psi_argmax];
+    drift.ks_argmax_name = names[drift.ks_argmax];
+    obs::gauge("audit.psi_max").set(drift.psi_max);
+    obs::gauge("audit.psi_argmax_feature")
+        .set(static_cast<double>(drift.psi_argmax));
+    obs::gauge("audit.ks_max").set(drift.ks_max);
+    obs::gauge("audit.ks_argmax_feature")
+        .set(static_cast<double>(drift.ks_argmax));
+    obs::gauge("audit.psi_drifted_features")
+        .set(static_cast<double>(drift.psi_drifted));
+  }
+  return eval;
 }
 
 ml::ClassMetrics TwoStagePredictor::evaluate(const sim::Trace& trace,
                                              Interval test_window) const {
-  OBS_SPAN("two_stage.evaluate");
-  const std::vector<std::size_t> idx = samples_in(trace, test_window);
-  std::vector<float> proba;
-  const std::vector<ml::Label> pred = predict(trace, idx, &proba);
-  // Calibration/quality gauges ride the obs switch like everything else in
-  // the audit layer; assess() is a pure read of (truth, proba).
-  if (obs::enabled() && !idx.empty()) {
-    const std::vector<ml::Label> truth = labels_of(trace, idx);
-    audit::publish(audit::assess(truth, proba));
-  }
-  return evaluate_predictions(trace, idx, pred);
+  return evaluate_window(trace, test_window).metrics;
 }
 
 }  // namespace repro::core

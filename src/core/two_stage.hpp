@@ -10,7 +10,11 @@
 //            decides the remaining cases.
 //
 // The deliberate cost: SBEs on previously error-free nodes are always
-// missed; periodic retraining (see RetrainingDriver) keeps that loss small.
+// missed; periodic retraining (see run_retraining) keeps that loss small.
+//
+// Model-quality audit (DESIGN.md §8) runs only in train() and
+// evaluate_window(). predict and predict_proba do the same work with obs
+// on or off and write no member, so threads may share a trained predictor.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "audit/drift.hpp"
 #include "core/sample_index.hpp"
 #include "core/splits.hpp"
@@ -40,6 +45,17 @@ struct TwoStageConfig {
   bool operator==(const TwoStageConfig&) const = default;
 };
 
+/// One evaluated window: every sample whose run ended inside it, in
+/// samples_in() order. `quality` is valid only with obs metrics on;
+/// `drift` (of the rows stage 2 scored) only when obs metrics were on for
+/// train() too and stage 2 scored at least one row.
+struct WindowEvaluation {
+  std::vector<float> proba;
+  ml::ClassMetrics metrics;
+  audit::QualityReport quality;
+  audit::DriftSummary drift;
+};
+
 class TwoStagePredictor {
  public:
   explicit TwoStagePredictor(const TwoStageConfig& config);
@@ -49,21 +65,20 @@ class TwoStagePredictor {
   /// ended inside train_window).
   void train(const sim::Trace& trace, Interval train_window);
 
-  /// P(SBE) per sample; stage-1 rejects get probability 0. When obs
-  /// metrics are on, also publishes the audit drift/survivor-rate gauges
-  /// and refreshes last_drift().
+  /// P(SBE) per sample; stage-1 rejects get probability 0.
   [[nodiscard]] std::vector<float> predict_proba(
       const sim::Trace& trace, std::span<const std::size_t> idx) const;
   /// Thresholded predictions. With an active audit sink (REPRO_AUDIT),
   /// additionally writes one JSONL record per sample — score, decision,
   /// truth, top-k feature contributions — flushed in index order.
-  /// `proba_out`, when non-null, receives the underlying probabilities so
-  /// callers needing both never score twice.
   [[nodiscard]] std::vector<ml::Label> predict(
-      const sim::Trace& trace, std::span<const std::size_t> idx,
-      std::vector<float>* proba_out = nullptr) const;
+      const sim::Trace& trace, std::span<const std::size_t> idx) const;
 
-  /// Convenience: predictions + metrics over a test window.
+  /// Scores a test window once (writing the audit log like predict) and,
+  /// with obs metrics on, assesses it: calibration, drift, `audit.*` gauges.
+  [[nodiscard]] WindowEvaluation evaluate_window(const sim::Trace& trace,
+                                                 Interval test_window) const;
+  /// evaluate_window's metrics.
   [[nodiscard]] ml::ClassMetrics evaluate(const sim::Trace& trace,
                                           Interval test_window) const;
 
@@ -92,25 +107,23 @@ class TwoStagePredictor {
     REPRO_CHECK_MSG(model_ != nullptr, "model not trained");
     return *model_;
   }
-  /// Feature drift of the most recent predict_proba call against this
-  /// model's training distribution (valid only when obs metrics were on
-  /// for both train and predict; see DESIGN.md §8).
-  [[nodiscard]] const audit::DriftSummary& last_drift() const noexcept {
-    return last_drift_;
-  }
 
  private:
-  /// The rows stage 2 scored: their positions in the scored index span
-  /// (ascending) and their scaled feature rows, one per position.
-  struct Stage2Rows {
+  /// One scoring pass: P(SBE) per sample, plus the rows stage 2 scored —
+  /// their positions in the index span (ascending) and their scaled
+  /// feature rows — so the audit log explains them and the window
+  /// evaluation measures their drift without extracting them again.
+  struct Scored {
+    std::vector<float> proba;
     std::vector<std::size_t> accepted;
     ml::Matrix features;
   };
-  /// predict_proba's body; also hands back the rows it scored, so the
-  /// audit log explains them without extracting them again.
-  [[nodiscard]] std::vector<float> score(const sim::Trace& trace,
-                                         std::span<const std::size_t> idx,
-                                         Stage2Rows& rows) const;
+  [[nodiscard]] Scored score(const sim::Trace& trace,
+                             std::span<const std::size_t> idx) const;
+  /// Thresholds a scoring pass and writes its audit log records.
+  [[nodiscard]] std::vector<ml::Label> decide(
+      const sim::Trace& trace, std::span<const std::size_t> idx,
+      const Scored& scored) const;
 
   TwoStageConfig config_;
   std::unique_ptr<features::FeatureExtractor> extractor_;
@@ -120,11 +133,8 @@ class TwoStagePredictor {
   double train_seconds_ = 0.0;
   std::size_t stage2_size_ = 0;
   bool degraded_ = false;
-  Interval train_window_{};
+  /// Fitted only when obs metrics were on for the last train().
   audit::DriftDetector drift_;
-  /// Per-call cache, not shared state: each predictor instance is driven
-  /// by one thread at a time.
-  mutable audit::DriftSummary last_drift_;
 };
 
 }  // namespace repro::core

@@ -24,7 +24,7 @@
 //      whether it erred in the last 24 hours, add it to the run's expected
 //      count and draw the node's SBE count (fault model).
 // A block's replay runs as one more chunk of the next block's parallel
-// pass: the two share no mutable state (the replay owns the active-run
+// pass: neither writes state the other reads (the replay owns the active-run
 // map, the fault-draw state and the finished-run outputs; idle minutes
 // are binned apart and merged when run_for returns). The last block of a
 // run_for call is replayed before it returns.

@@ -39,7 +39,7 @@ struct CatalogParams {
   std::int32_t max_nodes_cap = 64;   ///< largest allocation in the machine
 };
 
-/// Immutable population of application types plus a popularity sampler.
+/// Read-only population of application types plus a popularity sampler.
 class AppCatalog {
  public:
   static AppCatalog generate(const CatalogParams& params, Rng rng);

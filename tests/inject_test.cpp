@@ -231,10 +231,8 @@ TEST(Injection, AllResetsDegradeTwoStageGracefully) {
   EXPECT_TRUE(predictor.degraded());
   EXPECT_TRUE(predictor.trained());
   const auto idx = core::samples_in(trace, split.test);
-  std::vector<float> proba;
-  const auto pred = predictor.predict(trace, idx, &proba);
-  for (const float p : proba) EXPECT_EQ(p, 0.0f);
-  for (const auto y : pred) EXPECT_EQ(y, 0);
+  for (const float p : predictor.predict_proba(trace, idx)) EXPECT_EQ(p, 0.0f);
+  for (const auto y : predictor.predict(trace, idx)) EXPECT_EQ(y, 0);
   const auto metrics = predictor.evaluate(trace, split.test);
   EXPECT_EQ(metrics.confusion.tp, 0u);
   EXPECT_EQ(metrics.confusion.fp, 0u);

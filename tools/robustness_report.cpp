@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/sample_index.hpp"
 #include "core/splits.hpp"
 #include "core/two_stage.hpp"
 #include "inject/inject.hpp"
@@ -39,7 +38,6 @@ namespace {
 using namespace repro;
 
 struct Point {
-  double rate = 0.0;
   ml::ClassMetrics metrics;
   inject::InjectionReport injected;
   sim::IngestReport ingest;
@@ -47,38 +45,28 @@ struct Point {
   std::vector<float> proba;  ///< per test sample, for bit-identity checks
 };
 
+/// Trains the paper pipeline (TwoStage+GBDT, default config) on `trace`,
+/// evaluates it on the split's test window and fills the point's results.
+void train_and_evaluate(const sim::Trace& trace, const core::SplitSpec& split,
+                        Point& p) {
+  core::TwoStagePredictor predictor(core::TwoStageConfig{});
+  predictor.train(trace, split.train);
+  p.degraded = predictor.degraded();
+  core::WindowEvaluation eval = predictor.evaluate_window(trace, split.test);
+  p.metrics = eval.metrics;
+  p.proba = std::move(eval.proba);
+}
+
 /// Runs corrupt -> ingest -> train -> eval at one injection rate on a
 /// private copy of the clean trace.
 Point run_point(const sim::Trace& clean, double rate,
                 const core::SplitSpec& split) {
   Point p;
-  p.rate = rate;
   sim::Trace trace = clean;
   p.injected = inject::corrupt_trace(trace,
                                      inject::FaultConfig::uniform(rate));
   p.ingest = sim::ingest_trace(trace);
-
-  core::TwoStageConfig config;  // defaults = the paper pipeline (GBDT)
-  core::TwoStagePredictor predictor(config);
-  predictor.train(trace, split.train);
-  p.degraded = predictor.degraded();
-  const std::vector<std::size_t> idx = core::samples_in(trace, split.test);
-  const std::vector<ml::Label> pred = predictor.predict(trace, idx, &p.proba);
-  p.metrics = core::evaluate_predictions(trace, idx, pred);
-  return p;
-}
-
-/// The direct pipeline: no injection, no ingest — exactly what every bench
-/// runs on the cached trace.
-Point run_direct(const sim::Trace& clean, const core::SplitSpec& split) {
-  Point p;
-  core::TwoStageConfig config;
-  core::TwoStagePredictor predictor(config);
-  predictor.train(clean, split.train);
-  p.degraded = predictor.degraded();
-  const std::vector<std::size_t> idx = core::samples_in(clean, split.test);
-  const std::vector<ml::Label> pred = predictor.predict(clean, idx, &p.proba);
-  p.metrics = core::evaluate_predictions(clean, idx, pred);
+  train_and_evaluate(trace, split, p);
   return p;
 }
 
@@ -134,7 +122,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(config.days), rates.size());
   const sim::Trace clean = sim::simulate(config);
 
-  const Point direct = run_direct(clean, split);
+  // The direct pipeline: no injection, no ingest — exactly what every
+  // bench runs on the cached trace.
+  Point direct;
+  train_and_evaluate(clean, split, direct);
   std::printf("  %-10s F1 %.4f  precision %.4f  recall %.4f\n", "direct",
               direct.metrics.positive.f1, direct.metrics.positive.precision,
               direct.metrics.positive.recall);
